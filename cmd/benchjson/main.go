@@ -283,11 +283,15 @@ func benchChannel(n int) (result, error) {
 }
 
 // benchScenario measures a short Table 2 EW-MAC run; observe toggles
-// the full observability stack to expose its marginal cost.
+// the full observability stack to expose its marginal cost. When the
+// run report is on, events/s is the engine events executed across the
+// final round's runs divided by that round's measured time — the same
+// derivation as the engine bench, never a self-reported rate.
 func benchScenario(name string, observe *ewmac.Observe) result {
-	var lastEPS float64
+	var events uint64
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
+		events = 0
 		for i := 0; i < b.N; i++ {
 			cfg := ewmac.DefaultConfig(ewmac.EWMAC)
 			cfg.SimTime = 60 * time.Second
@@ -298,12 +302,14 @@ func benchScenario(name string, observe *ewmac.Observe) result {
 				b.Fatal(err)
 			}
 			if res.Report != nil {
-				lastEPS = res.Report.EngineEventsPerS
+				events += res.Report.EngineEvents
 			}
 		}
 	})
 	res := toResult(name, br)
-	res.EventsPerSec = lastEPS
+	if secs := br.T.Seconds(); secs > 0 {
+		res.EventsPerSec = float64(events) / secs
+	}
 	return res
 }
 

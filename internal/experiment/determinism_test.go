@@ -1,12 +1,17 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"ewmac/internal/fault"
+	"ewmac/internal/mac"
 	"ewmac/internal/packet"
 	"ewmac/internal/sim"
 )
@@ -83,11 +88,13 @@ func goldenMobileConfig() Config {
 // static-topology scenario per protocol, captured before the hot-path
 // overhaul (pooled scheduler, geometry cache, copy-on-write frames).
 // A mismatch means an "optimization" changed simulation behaviour.
+// S-ALOHA, the extension baseline, is pinned alongside the paper's four.
 var goldenStaticHashes = map[Protocol]uint64{
-	ProtocolSFAMA: 0xc55ae16771c274d3,
-	ProtocolROPA:  0x8d7f2372bd7587a5,
-	ProtocolCSMAC: 0xb1dc385203bfdff1,
-	ProtocolEWMAC: 0x2c20421d03385755,
+	ProtocolSFAMA:  0xc55ae16771c274d3,
+	ProtocolROPA:   0x8d7f2372bd7587a5,
+	ProtocolCSMAC:  0xb1dc385203bfdff1,
+	ProtocolEWMAC:  0x2c20421d03385755,
+	ProtocolSALOHA: 0x1e8c851e3904b9bb,
 }
 
 // goldenMobileHash pins the mobile-topology trace the same way; it
@@ -100,11 +107,11 @@ func TestGoldenTraceHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, p := range Protocols {
-		p := p
+	for p, want := range goldenStaticHashes {
+		p, want := p, want
 		t.Run(string(p), func(t *testing.T) {
 			t.Parallel()
-			if got, want := traceHash(t, goldenStaticConfig(p)), goldenStaticHashes[p]; got != want {
+			if got := traceHash(t, goldenStaticConfig(p)); got != want {
 				t.Errorf("static %s trace hash = %#016x, want pinned %#016x", p, got, want)
 			}
 		})
@@ -152,8 +159,107 @@ func TestGoldenHashPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, p := range Protocols {
+	for _, p := range append([]Protocol{ProtocolSALOHA}, Protocols...) {
 		t.Logf("static %-6s %#016x", p, traceHash(t, goldenStaticConfig(p)))
 	}
 	t.Logf("mobile ewmac  %#016x", traceHash(t, goldenMobileConfig()))
+}
+
+// goldenOverloadConfig layers the repository's chaos fault scenario
+// over a saturated, fully managed queue: deadline drops with a TTL, an
+// admission gate on a queue small enough that it sheds, and a retry
+// budget. Together they drive every station path the MACs share —
+// suspect/dead/resurrect liveness, dead-peer purges, deadline expiry,
+// load shedding and retry deferral — which the fault-free goldens
+// never reach.
+func goldenOverloadConfig(t *testing.T, p Protocol) Config {
+	t.Helper()
+	sc, err := fault.Load(filepath.Join("..", "..", "examples", "faults", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(p)
+	cfg.Nodes = 20
+	cfg.SimTime = 300 * time.Second
+	cfg.OfferedLoadKbps = 3
+	cfg.QueueMax = 8
+	cfg.Seed = 4
+	cfg.Faults = sc
+	cfg.Overload = mac.OverloadConfig{
+		Policy:      mac.DropDeadline,
+		PacketTTL:   30 * time.Second,
+		HighWater:   0.5,
+		RetryBudget: mac.RetryBudgetConfig{Burst: 2},
+	}
+	return cfg
+}
+
+// goldenOverloadHashes pins the FNV-64a digest of the full JSONL trace
+// of goldenOverloadConfig per protocol.
+var goldenOverloadHashes = map[Protocol]uint64{
+	ProtocolSALOHA: 0xd568ba05cea0cf6b,
+	ProtocolSFAMA:  0xe6a2d5c580550e59,
+}
+
+// overloadTrace runs cfg with the JSONL trace on and returns its digest
+// plus a count of every event tag in it.
+func overloadTrace(t *testing.T, cfg Config) (uint64, map[string]int) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Observe = &Observe{Trace: &buf}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	_, _ = h.Write(buf.Bytes())
+	tags := make(map[string]int)
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		var ev struct {
+			Event  string `json:"event"`
+			Action string `json:"action"`
+			Reason string `json:"reason"`
+		}
+		if len(line) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		tags[ev.Event]++
+		if ev.Action != "" {
+			tags[ev.Event+"/"+ev.Action]++
+		}
+		if ev.Reason != "" {
+			tags[ev.Event+"/"+ev.Reason]++
+		}
+	}
+	return h.Sum64(), tags
+}
+
+// TestGoldenOverloadTraceHash pins the byte-exact trace of the
+// faults+overload scenario and checks the scenario still reaches every
+// shared station path, so the pin cannot silently go vacuous.
+func TestGoldenOverloadTraceHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for p, want := range goldenOverloadHashes {
+		p, want := p, want
+		t.Run(string(p), func(t *testing.T) {
+			t.Parallel()
+			got, tags := overloadTrace(t, goldenOverloadConfig(t, p))
+			for _, tag := range []string{
+				"mac.recovery/suspect", "mac.recovery/dead", "mac.recovery/resurrect",
+				"mac.drop/dead-peer", "mac.drop/deadline-expired", "mac.drop/load-shed",
+				"mac.overload/shed-begin", "mac.overload/shed-end", "mac.overload/retry-defer",
+			} {
+				if tags[tag] == 0 {
+					t.Errorf("scenario no longer reaches %s", tag)
+				}
+			}
+			if got != want {
+				t.Errorf("faults+overload %s trace hash = %#016x, want pinned %#016x", p, got, want)
+			}
+		})
+	}
 }

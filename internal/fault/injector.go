@@ -15,7 +15,7 @@ import (
 // Restartable is the protocol-side recovery hook: a crashed node that
 // comes back cold-starts through it, dropping all volatile MAC state.
 // All MACs in this repo implement it (mac.Base provides it to the
-// four handshake protocols; slotted ALOHA has its own).
+// four handshake protocols, slotted ALOHA wraps mac.Station's).
 type Restartable interface{ Restart() }
 
 // downReason tracks why a modem is silenced so overlapping fault

@@ -34,13 +34,6 @@ type RecoveryConfig struct {
 	WatchdogFactor int64
 }
 
-// WithDefaults returns r with unset thresholds filled in. Exported for
-// MACs not built on Base (S-Aloha runs its own liveness bookkeeping).
-func (r RecoveryConfig) WithDefaults() RecoveryConfig {
-	r.applyDefaults()
-	return r
-}
-
 func (r *RecoveryConfig) applyDefaults() {
 	if r.SuspectAfter <= 0 {
 		r.SuspectAfter = 3
@@ -83,141 +76,149 @@ func (s PeerState) String() string {
 // extra-communication admission rules) implement it to quarantine a
 // dead peer's state and restore it on resurrection.
 type PeerWatcher interface {
-	// OnPeerDead fires when the base declares peer dead.
+	// OnPeerDead fires when the station declares peer dead.
 	OnPeerDead(peer packet.NodeID)
 	// OnPeerAlive fires when a frame from a suspect/dead peer is
 	// overheard and the peer returns to alive.
 	OnPeerAlive(peer packet.NodeID)
 }
 
-// PeerState returns the liveness verdict for peer.
-func (b *Base) PeerState(peer packet.NodeID) PeerState {
-	return b.peerState[peer]
-}
-
 // Stranded counts queued packets whose next hop is currently dead —
 // traffic the recovery layer has neither delivered nor dropped with a
 // typed reason. A correctly closing recovery loop keeps this at zero.
-func (b *Base) Stranded() int {
-	if !b.cfg.Recovery.Enabled {
+func (st *Station) Stranded() int {
+	if !st.cfg.Recovery.Enabled {
 		return 0
 	}
 	n := 0
-	for _, p := range b.queue.Items() {
-		if b.peerState[p.Dst] == PeerDead {
+	for _, p := range st.queue.Items() {
+		if st.peerState[p.Dst] == PeerDead {
 			n++
 		}
 	}
 	return n
 }
 
-// noteHandshakeFailure records one failed handshake round toward peer,
-// walking it through suspect and dead. It returns true when this
-// failure just killed the peer — the caller's head packet was purged
-// along with everything else queued to it.
-func (b *Base) noteHandshakeFailure(peer packet.NodeID) bool {
-	rc := &b.cfg.Recovery
+// notePeerFailure records one failed attempt toward peer, walking it
+// through suspect and dead. It returns true when this failure just
+// killed the peer — the caller's head packet was purged along with
+// everything else queued to it.
+func (st *Station) notePeerFailure(peer packet.NodeID) bool {
+	rc := &st.cfg.Recovery
 	if !rc.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
-	n := b.peerFails[peer] + 1
-	b.peerFails[peer] = n
-	st := b.peerState[peer]
-	if st == PeerAlive && n >= rc.SuspectAfter {
-		st = PeerSuspect
-		b.peerState[peer] = st
-		b.counters.SuspectMarks++
-		b.table.MarkSuspect(peer)
-		if b.Observing() {
-			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoverySuspect,
-				Detail: fmt.Sprintf("%d consecutive handshake failures", n),
-			}.Emit(b.recNow())
-		}
+	n := st.peerFails[peer] + 1
+	st.peerFails[peer] = n
+	v := st.peerState[peer]
+	if v == PeerAlive && n >= rc.SuspectAfter {
+		v = PeerSuspect
+		st.peerState[peer] = v
+		st.counters.SuspectMarks++
+		st.emitVerdict(peer, obs.RecoverySuspect, n)
 	}
-	if st != PeerDead && n >= rc.DeadAfter {
-		b.peerState[peer] = PeerDead
-		b.counters.DeadMarks++
-		b.table.MarkSuspect(peer)
-		if b.Observing() {
-			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoveryDead,
-				Detail: fmt.Sprintf("%d consecutive handshake failures", n),
-			}.Emit(b.recNow())
-		}
-		b.purgeDeadTraffic(peer)
-		if w, ok := b.hooks.(PeerWatcher); ok {
-			w.OnPeerDead(peer)
+	if v != PeerDead && n >= rc.DeadAfter {
+		st.peerState[peer] = PeerDead
+		st.counters.DeadMarks++
+		st.emitVerdict(peer, obs.RecoveryDead, n)
+		st.purgeDeadTraffic(peer)
+		if st.watcher != nil {
+			st.watcher.OnPeerDead(peer)
 		}
 		return true
 	}
 	return false
 }
 
+// emitVerdict flags peer's delay-table entry (where the MAC keeps one)
+// and records its suspect or dead verdict after n consecutive failures.
+func (st *Station) emitVerdict(peer packet.NodeID, action string, n int) {
+	if st.distrust != nil {
+		st.distrust(peer)
+	}
+	if r := st.cfg.Recorder; r != nil {
+		obs.Recovery{
+			Node: st.cfg.ID, Peer: peer, Action: action,
+			Detail: fmt.Sprintf("%d consecutive %s", n, st.failures),
+		}.Emit(r, st.cfg.Engine.Now())
+	}
+}
+
 // purgeDeadTraffic drops every queued packet destined to peer with a
 // typed dead-peer reason, so the queue never retries into a void.
-func (b *Base) purgeDeadTraffic(peer packet.NodeID) int {
-	n := 0
-	for i := 0; i < b.queue.Len(); {
-		p := b.queue.Items()[i]
+func (st *Station) purgeDeadTraffic(peer packet.NodeID) {
+	for i := 0; i < st.queue.Len(); {
+		p := st.queue.Items()[i]
 		if p.Dst != peer {
 			i++
 			continue
 		}
-		b.queue.RemoveAt(i)
-		b.dropPacket(p, obs.DropDeadPeer)
-		n++
-	}
-	return n
-}
-
-// dropPacket accounts one abandoned packet under the given typed
-// reason. It doubles as the Queue's OnDrop hook, so policy evictions
-// (expiry, drop-oldest, priority displacement) land here too.
-func (b *Base) dropPacket(p AppPacket, reason string) {
-	b.counters.CountDrop(reason)
-	if b.Observing() {
-		obs.PacketDrop{
-			Node: b.cfg.ID, Peer: p.Dst, Reason: reason,
-			Origin: p.Origin, Seq: p.Seq,
-		}.Emit(b.recNow())
+		st.queue.RemoveAt(i)
+		st.dropPacket(p, obs.DropDeadPeer)
 	}
 }
 
-// notePeerAlive clears the failure history for peer on any decoded
-// frame from it, resurrecting a suspect/dead peer.
-func (b *Base) notePeerAlive(peer packet.NodeID) {
-	if !b.cfg.Recovery.Enabled {
+// HeardFrom notes a decoded frame from peer: it proves the peer
+// transmits, so its failure history is cleared and a suspect or dead
+// peer is resurrected. (Delay-table trust is tracked separately.)
+func (st *Station) HeardFrom(peer packet.NodeID) {
+	if !st.cfg.Recovery.Enabled {
 		return
 	}
-	st := b.peerState[peer]
-	if st == PeerAlive {
-		if b.peerFails[peer] != 0 {
-			delete(b.peerFails, peer)
+	v := st.peerState[peer]
+	if v == PeerAlive {
+		if st.peerFails[peer] != 0 {
+			delete(st.peerFails, peer)
 		}
 		return
 	}
-	delete(b.peerFails, peer)
-	delete(b.peerState, peer)
-	if st == PeerDead {
-		b.counters.Resurrections++
-		if b.Observing() {
+	delete(st.peerFails, peer)
+	delete(st.peerState, peer)
+	if v == PeerDead {
+		st.counters.Resurrections++
+		if r := st.cfg.Recorder; r != nil {
 			obs.Recovery{
-				Node: b.cfg.ID, Peer: peer, Action: obs.RecoveryResurrect,
+				Node: st.cfg.ID, Peer: peer, Action: obs.RecoveryResurrect,
 				Detail: "frame overheard from dead peer",
-			}.Emit(b.recNow())
+			}.Emit(r, st.cfg.Engine.Now())
 		}
-		if w, ok := b.hooks.(PeerWatcher); ok {
-			w.OnPeerAlive(peer)
+		if st.watcher != nil {
+			st.watcher.OnPeerAlive(peer)
 		}
 	}
 }
 
-// watchdogBound returns the stuck-state limit in slots for the current
-// role: WatchdogFactor worst-case four-way exchanges (RTS, CTS, the
-// data occupancy of Equation (5), and the Ack slot), derived from the
-// delay budget of the exchange actually in flight.
-func (b *Base) watchdogBound() int64 {
+// Watchdog is the stuck-state backstop: a node that has spent stuck
+// slots in state, longer than WatchdogFactor worst-case exchanges of
+// exchange slots each, is counted and reported, and Watchdog returns
+// true so the caller cold-restarts it. Always false unless recovery is
+// enabled.
+func (st *Station) Watchdog(state string, stuck, exchange int64) bool {
+	if !st.cfg.Recovery.Enabled {
+		return false
+	}
+	bound := st.cfg.Recovery.WatchdogFactor * exchange
+	if stuck <= bound {
+		return false
+	}
+	st.counters.WatchdogResets++
+	if r := st.cfg.Recorder; r != nil {
+		obs.Recovery{
+			Node: st.cfg.ID, Action: obs.RecoveryWatchdog,
+			Detail: fmt.Sprintf("stuck in %s for %d slots (bound %d)", state, stuck, bound),
+		}.Emit(r, st.cfg.Engine.Now())
+	}
+	return true
+}
+
+// watchdogCheck force-resets a MAC stuck in a non-idle role, through
+// the cold-restart path. The bound is derived from the delay budget of
+// the exchange actually in flight: RTS, CTS, the data occupancy of
+// Equation (5), and the Ack slot.
+func (b *Base) watchdogCheck(s int64) {
+	if !b.cfg.Recovery.Enabled || b.role == RoleIdle {
+		return
+	}
 	dataTx := b.cfg.Slots.Len()
 	switch {
 	case b.role == RoleWaitData:
@@ -226,26 +227,7 @@ func (b *Base) watchdogBound() int64 {
 		dataTx = b.DataTx(b.cur.Bits)
 	}
 	exchange := 4 + b.cfg.Slots.DataSlots(dataTx, b.cfg.Slots.TauMax)
-	return b.cfg.Recovery.WatchdogFactor * exchange
-}
-
-// watchdogCheck force-resets a MAC stuck in a non-idle role past the
-// delay-budget bound, through the existing cold-restart path. Runs at
-// every slot boundary; a no-op unless recovery is enabled.
-func (b *Base) watchdogCheck(s int64) {
-	if !b.cfg.Recovery.Enabled || b.role == RoleIdle {
-		return
+	if b.Watchdog(b.role.String(), s-b.roleSlot, exchange) {
+		b.Restart()
 	}
-	stuck := s - b.roleSlot
-	if stuck <= b.watchdogBound() {
-		return
-	}
-	b.counters.WatchdogResets++
-	if b.Observing() {
-		obs.Recovery{
-			Node: b.cfg.ID, Action: obs.RecoveryWatchdog,
-			Detail: fmt.Sprintf("stuck in %v for %d slots (bound %d)", b.role, stuck, b.watchdogBound()),
-		}.Emit(b.recNow())
-	}
-	b.Restart()
 }

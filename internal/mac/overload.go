@@ -12,8 +12,7 @@ import (
 // budget that keeps a backlogged fleet from synchronizing into a retry
 // storm. Everything here is inert by default — the zero OverloadConfig
 // reproduces the pre-overload tail-drop behaviour bit-identically —
-// and is shared verbatim between Base and MACs not built on it
-// (S-ALOHA), so policy wiring cannot drift between the two.
+// and runs inside Station, so every MAC gets the same wiring.
 
 // DropPolicy selects what a bounded queue sheds when it is full.
 type DropPolicy uint8
@@ -114,13 +113,6 @@ func (o OverloadConfig) Armed() bool {
 		o.HighWater > 0 || o.RetryBudget.Enabled()
 }
 
-// WithDefaults returns o with unset derived fields filled in. Exported
-// for MACs not built on Base (S-ALOHA wires its own copy).
-func (o OverloadConfig) WithDefaults() OverloadConfig {
-	o.applyDefaults()
-	return o
-}
-
 func (o *OverloadConfig) applyDefaults() {
 	if o.HighWater > 0 && o.LowWater <= 0 {
 		o.LowWater = o.HighWater / 2
@@ -165,20 +157,20 @@ func (o OverloadConfig) Validate(queueMax int) error {
 	return nil
 }
 
-// AdmissionGate is the hysteresis load-shedding gate: it closes when
+// admissionGate is the hysteresis load-shedding gate: it closes when
 // queue occupancy reaches the high-water mark and reopens only once
 // occupancy drains to the low-water mark. The zero value is disabled.
-type AdmissionGate struct {
+type admissionGate struct {
 	high, low int
 	closed    bool
 }
 
-// NewAdmissionGate derives the occupancy thresholds from cfg. The
+// newAdmissionGate derives the occupancy thresholds from cfg. The
 // returned gate is disabled when the config leaves HighWater unset.
-func NewAdmissionGate(cfg Config) AdmissionGate {
+func newAdmissionGate(cfg Config) admissionGate {
 	o := cfg.Overload
 	if o.HighWater <= 0 || cfg.QueueMax <= 0 {
-		return AdmissionGate{}
+		return admissionGate{}
 	}
 	high := int(o.HighWater*float64(cfg.QueueMax) + 0.5)
 	if high < 1 {
@@ -191,16 +183,16 @@ func NewAdmissionGate(cfg Config) AdmissionGate {
 	if low < 0 {
 		low = 0
 	}
-	return AdmissionGate{high: high, low: low}
+	return admissionGate{high: high, low: low}
 }
 
 // Enabled reports whether the gate is armed.
-func (g *AdmissionGate) Enabled() bool { return g.high > 0 }
+func (g *admissionGate) Enabled() bool { return g.high > 0 }
 
 // Update re-evaluates the gate against the current occupancy,
 // returning the (possibly new) closed state and whether it just
 // transitioned — the signal for overload begin/end events.
-func (g *AdmissionGate) Update(occupancy int) (closed, changed bool) {
+func (g *admissionGate) Update(occupancy int) (closed, changed bool) {
 	if g.high <= 0 {
 		return false, false
 	}
@@ -215,11 +207,11 @@ func (g *AdmissionGate) Update(occupancy int) (closed, changed bool) {
 	return g.closed, g.closed != was
 }
 
-// RetryBucket is the runtime state of a RetryBudgetConfig: a token
+// retryBucket is the runtime state of a RetryBudgetConfig: a token
 // bucket refilled lazily from elapsed slots, so consulting it is
 // deterministic, allocation-free, and RNG-free. The zero value is
 // disabled and always allows.
-type RetryBucket struct {
+type retryBucket struct {
 	tokens   float64
 	burst    float64
 	perSlot  float64
@@ -227,18 +219,18 @@ type RetryBucket struct {
 	enabled  bool
 }
 
-// NewRetryBucket builds the bucket for cfg (full at start). Disabled
+// newRetryBucket builds the bucket for cfg (full at start). Disabled
 // when the config leaves Burst unset.
-func NewRetryBucket(cfg Config) RetryBucket {
+func newRetryBucket(cfg Config) retryBucket {
 	rb := cfg.Overload.RetryBudget
 	if !rb.Enabled() {
-		return RetryBucket{}
+		return retryBucket{}
 	}
 	rate := rb.RatePerSec
 	if rate <= 0 {
 		rate = 0.5
 	}
-	return RetryBucket{
+	return retryBucket{
 		tokens:  float64(rb.Burst),
 		burst:   float64(rb.Burst),
 		perSlot: rate * cfg.Slots.Len().Seconds(),
@@ -247,12 +239,12 @@ func NewRetryBucket(cfg Config) RetryBucket {
 }
 
 // Enabled reports whether the budget is armed.
-func (b *RetryBucket) Enabled() bool { return b.enabled }
+func (b *retryBucket) Enabled() bool { return b.enabled }
 
 // Allow spends one retry token at slot s, refilling for the slots
 // elapsed since the last call. A false return means the retry must be
 // deferred — the caller waits a slot rather than dropping the packet.
-func (b *RetryBucket) Allow(s int64) bool {
+func (b *retryBucket) Allow(s int64) bool {
 	if !b.enabled {
 		return true
 	}

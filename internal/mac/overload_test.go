@@ -88,7 +88,8 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 			t.Errorf("armed[%d] not armed", i)
 		}
 	}
-	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}.WithDefaults()
+	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}
+	d.applyDefaults()
 	if d.LowWater != 0.4 {
 		t.Errorf("default low water = %v", d.LowWater)
 	}
@@ -98,9 +99,9 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 }
 
 func TestAdmissionGateHysteresis(t *testing.T) {
-	g := NewAdmissionGate(Config{
+	g := newAdmissionGate(Config{
 		QueueMax: 10,
-		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4}.WithDefaults(),
+		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4},
 	})
 	if !g.Enabled() {
 		t.Fatal("gate not enabled")
@@ -123,7 +124,7 @@ func TestAdmissionGateHysteresis(t *testing.T) {
 		t.Fatal("re-closed below high water after reopening")
 	}
 
-	var off AdmissionGate
+	var off admissionGate
 	if off.Enabled() {
 		t.Error("zero gate enabled")
 	}
@@ -139,7 +140,7 @@ func TestRetryBucketLazyRefill(t *testing.T) {
 			RetryBudget: RetryBudgetConfig{Burst: 2, RatePerSec: 1},
 		},
 	}
-	b := NewRetryBucket(cfg) // 1 s slots, 1 token/s, burst 2
+	b := newRetryBucket(cfg) // 1 s slots, 1 token/s, burst 2
 	if !b.Enabled() {
 		t.Fatal("bucket not enabled")
 	}
@@ -163,7 +164,7 @@ func TestRetryBucketLazyRefill(t *testing.T) {
 		t.Fatal("refilled beyond burst")
 	}
 
-	var off RetryBucket
+	var off retryBucket
 	if off.Enabled() {
 		t.Error("zero bucket enabled")
 	}
@@ -466,7 +467,7 @@ func TestCountersCountDrop(t *testing.T) {
 		obs.DropRetryExhausted, obs.DropDeadPeer, obs.DropQueueFull,
 		obs.DropOldest, obs.DropExpired, obs.DropShed, "unknown",
 	} {
-		c.CountDrop(r)
+		c.countDrop(r)
 	}
 	if c.Dropped != 7 {
 		t.Errorf("Dropped = %d", c.Dropped)

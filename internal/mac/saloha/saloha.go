@@ -7,15 +7,13 @@
 // It exists for two reasons. First, as the classic lower anchor for
 // handshake protocols: without reservations, every overlapping data
 // packet is lost whole, so ALOHA collapses far earlier than S-FAMA as
-// load grows. Second, as a demonstration that the framework's pieces
-// (slot math, queues, modem, counters) compose into protocols that do
-// not share the four-way-handshake engine at all.
+// load grows. Second, as a demonstration that the framework's station
+// core — slot loop, queue and overload protection, liveness, backoff,
+// dedup — composes into protocols that do not share the
+// four-way-handshake engine at all.
 package saloha
 
 import (
-	"fmt"
-	"time"
-
 	"ewmac/internal/mac"
 	"ewmac/internal/obs"
 	"ewmac/internal/packet"
@@ -23,531 +21,159 @@ import (
 	"ewmac/internal/sim"
 )
 
-// MAC is the slotted-ALOHA protocol. Unlike the paper's four
-// protocols it is not built on mac.Base: it runs its own minimal slot
-// loop.
+// MAC is the slotted-ALOHA protocol. It embeds the shared station core
+// (queue, admission, retry budget, liveness, backoff, dedup) but not
+// the four-way-handshake engine: its slot handler runs Data→Ack rounds
+// only.
 type MAC struct {
-	cfg   mac.Config
-	rng   *sim.RNG
-	queue mac.Queue
+	mac.Station
 
 	waitingAck  bool
 	ackDeadline int64
-	sentSeq     uint32
-	sentOrigin  packet.NodeID
-	// xidSeq allocates exchange-lineage IDs; sentXID is the lineage of
-	// the data transmission currently awaiting its Ack.
-	xidSeq      uint64
-	sentXID     uint64
-	backoffLeft int
-	cw          int
-	attempts    int
-	seq         uint32
-	seen        map[uint64]struct{}
-	// Liveness state, mirroring mac.Base: consecutive ack timeouts per
-	// peer, the resulting verdicts, and the slot the current ack wait
-	// started at (watchdog input).
-	peerFails map[packet.NodeID]int
-	peerState map[packet.NodeID]mac.PeerState
-	waitSlot  int64
-	// Overload-protection state, mirroring mac.Base: the hysteresis
-	// admission gate and the per-node retry token bucket.
-	gate     mac.AdmissionGate
-	bucket   mac.RetryBucket
-	counters mac.Counters
-	started  bool
-	nextSlot int64
+	// waitSlot is the slot the current ack wait started at (watchdog
+	// input); sentXID is the lineage of the data transmission awaiting
+	// its Ack.
+	waitSlot int64
+	sentXID  uint64
 }
 
 var _ mac.Protocol = (*MAC)(nil)
 
 // New builds a slotted-ALOHA node.
 func New(cfg mac.Config) (*MAC, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &MAC{}
+	if err := m.Init(cfg, "saloha", "ack timeouts"); err != nil {
 		return nil, err
 	}
-	if cfg.CWMin <= 0 {
-		cfg.CWMin = 2
-	}
-	if cfg.CWMax < cfg.CWMin {
-		cfg.CWMax = 128
-	}
-	if cfg.Recovery.Enabled {
-		cfg.Recovery = cfg.Recovery.WithDefaults()
-	}
-	cfg.Overload = cfg.Overload.WithDefaults()
-	m := &MAC{
-		cfg:       cfg,
-		rng:       cfg.Engine.RNG(fmt.Sprintf("saloha/%d", cfg.ID)),
-		cw:        cfg.CWMin,
-		seen:      make(map[uint64]struct{}),
-		peerFails: make(map[packet.NodeID]int),
-		peerState: make(map[packet.NodeID]mac.PeerState),
-		gate:      mac.NewAdmissionGate(cfg),
-		bucket:    mac.NewRetryBucket(cfg),
-	}
-	// The queue comes from the shared constructor so drop-policy and
-	// bound wiring cannot drift from mac.Base.
-	m.queue = mac.NewQueue(cfg,
-		func() time.Duration { return cfg.Engine.Now().Duration() },
-		m.dropPacket, m.queueEvent)
 	return m, nil
 }
 
 // Name implements mac.Protocol.
 func (m *MAC) Name() string { return "S-ALOHA" }
 
-// Counters implements mac.Protocol.
-func (m *MAC) Counters() mac.Counters { return m.counters }
-
-// QueueLen implements mac.Protocol.
-func (m *MAC) QueueLen() int { return m.queue.Len() }
-
-// Enqueue implements mac.Protocol.
-func (m *MAC) Enqueue(p mac.AppPacket) {
-	if p.Origin == packet.Nobody {
-		p.Origin = m.cfg.ID
-	}
-	if p.Seq == 0 {
-		m.seq++
-		p.Seq = m.seq
-	}
-	// Every offered packet counts as generated, whether it queues or is
-	// refused with a typed drop below (mirrors mac.Base).
-	m.counters.Generated++
-	if m.cfg.Recovery.Enabled && m.peerState[p.Dst] == mac.PeerDead {
-		m.dropPacket(p, obs.DropDeadPeer)
-		return
-	}
-	if ttl := m.cfg.Overload.PacketTTL; ttl > 0 && p.Deadline == 0 {
-		p.Deadline = p.GeneratedAt + ttl
-	}
-	if m.gate.Enabled() && !(m.cfg.Overload.Priority && p.High) {
-		closed, changed := m.gate.Update(m.queue.Len())
-		if changed {
-			if closed {
-				m.emitOverload(obs.OverloadShedBegin)
-			} else {
-				m.emitOverload(obs.OverloadShedEnd)
-			}
-		}
-		if closed {
-			m.dropPacket(p, obs.DropShed)
-			return
-		}
-	}
-	if !m.queue.Push(p) {
-		m.dropPacket(p, obs.DropQueueFull)
-	}
-}
-
-// Backpressure reports whether the admission gate is currently closed,
-// re-evaluated against live occupancy (mirrors mac.Base).
-func (m *MAC) Backpressure() bool {
-	if !m.gate.Enabled() {
-		return false
-	}
-	closed, changed := m.gate.Update(m.queue.Len())
-	if changed {
-		if closed {
-			m.emitOverload(obs.OverloadShedBegin)
-		} else {
-			m.emitOverload(obs.OverloadShedEnd)
-		}
-	}
-	return closed
-}
-
-// emitOverload records one overload-protection lifecycle step.
-func (m *MAC) emitOverload(action string) {
-	if m.cfg.Recorder != nil {
-		obs.Overload{Node: m.cfg.ID, Action: action, Len: m.queue.Len()}.Emit(m.recNow())
-	}
-}
-
-// queueEvent observes transmit-queue occupancy changes (the Queue's
-// OnEvent hook), mirroring mac.Base.
-func (m *MAC) queueEvent(pushed bool, p mac.AppPacket) {
-	r := m.cfg.Recorder
-	if r == nil {
-		return
-	}
-	now := m.cfg.Engine.Now()
-	ev := obs.QueueDepth{Node: m.cfg.ID, Len: m.queue.Len(), Op: obs.QueuePush}
-	if !pushed {
-		ev.Op = obs.QueuePop
-		ev.Sojourn = now.Duration() - p.GeneratedAt
-	}
-	ev.Emit(r, now)
-}
-
 // Start implements mac.Protocol.
-func (m *MAC) Start() {
-	if m.started {
-		return
-	}
-	m.started = true
-	now := m.cfg.Engine.Now()
-	m.nextSlot = m.cfg.Slots.SlotAt(now)
-	if m.cfg.Slots.StartOf(m.nextSlot) != now {
-		m.nextSlot++
-	}
-	m.scheduleSlot()
-}
+func (m *MAC) Start() { m.RunSlots(m.onSlot) }
 
-func (m *MAC) scheduleSlot() {
-	slot := m.nextSlot
-	m.nextSlot++
-	at := m.cfg.Slots.StartOf(slot)
-	if m.cfg.Clock != nil {
-		// Fire the boundary where the local clock believes it is; a
-		// clock corrected backwards degrades to firing immediately.
-		at = m.cfg.Clock.TrueTime(at.Duration())
-		if now := m.cfg.Engine.Now(); at.Before(now) {
-			at = now
-		}
-	}
-	m.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, func() {
-		m.onSlot(slot)
-		m.scheduleSlot()
-	})
-}
-
-// localNow is the node's local clock reading (engine time when no
-// drifting clock is injected).
-func (m *MAC) localNow() sim.Time {
-	now := m.cfg.Engine.Now()
-	if m.cfg.Clock == nil {
-		return now
-	}
-	return sim.At(m.cfg.Clock.Local(now))
-}
-
-// Restart cold-starts the node after a crash/recovery cycle: in-flight
-// ack waits and backoff state are forgotten; the queue, dedupe set and
-// counters survive.
+// Restart cold-starts the node after a crash/recovery cycle: the
+// in-flight ack wait is forgotten along with the station's soft state.
 func (m *MAC) Restart() {
-	m.setWaiting(false, m.cfg.Slots.SlotAt(m.cfg.Engine.Now()))
-	m.queue.UnlockHead()
-	m.backoffLeft = 0
-	m.cw = m.cfg.CWMin
-	m.attempts = 0
-	// Liveness history is soft state too: forgotten on a cold start.
-	m.peerFails = make(map[packet.NodeID]int)
-	m.peerState = make(map[packet.NodeID]mac.PeerState)
-}
-
-// PeerState returns the liveness verdict for peer.
-func (m *MAC) PeerState(peer packet.NodeID) mac.PeerState {
-	return m.peerState[peer]
-}
-
-// Stranded counts queued packets whose next hop is currently dead.
-func (m *MAC) Stranded() int {
-	if !m.cfg.Recovery.Enabled {
-		return 0
-	}
-	n := 0
-	for _, p := range m.queue.Items() {
-		if m.peerState[p.Dst] == mac.PeerDead {
-			n++
-		}
-	}
-	return n
-}
-
-// dropPacket accounts one abandoned packet under the given typed
-// reason, mirroring mac.Base. It doubles as the Queue's OnDrop hook,
-// so policy evictions land here too.
-func (m *MAC) dropPacket(p mac.AppPacket, reason string) {
-	m.counters.CountDrop(reason)
-	if m.cfg.Recorder != nil {
-		obs.PacketDrop{
-			Node: m.cfg.ID, Peer: p.Dst, Reason: reason,
-			Origin: p.Origin, Seq: p.Seq,
-		}.Emit(m.recNow())
-	}
-}
-
-// noteFailure records one ack timeout toward peer, walking it through
-// suspect and dead; returns true when this failure killed the peer
-// (its queued traffic was purged).
-func (m *MAC) noteFailure(peer packet.NodeID) bool {
-	rc := &m.cfg.Recovery
-	if !rc.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
-		return false
-	}
-	n := m.peerFails[peer] + 1
-	m.peerFails[peer] = n
-	st := m.peerState[peer]
-	if st == mac.PeerAlive && n >= rc.SuspectAfter {
-		st = mac.PeerSuspect
-		m.peerState[peer] = st
-		m.counters.SuspectMarks++
-		if m.cfg.Recorder != nil {
-			obs.Recovery{
-				Node: m.cfg.ID, Peer: peer, Action: obs.RecoverySuspect,
-				Detail: fmt.Sprintf("%d consecutive ack timeouts", n),
-			}.Emit(m.recNow())
-		}
-	}
-	if st != mac.PeerDead && n >= rc.DeadAfter {
-		m.peerState[peer] = mac.PeerDead
-		m.counters.DeadMarks++
-		if m.cfg.Recorder != nil {
-			obs.Recovery{
-				Node: m.cfg.ID, Peer: peer, Action: obs.RecoveryDead,
-				Detail: fmt.Sprintf("%d consecutive ack timeouts", n),
-			}.Emit(m.recNow())
-		}
-		for i := 0; i < m.queue.Len(); {
-			p := m.queue.Items()[i]
-			if p.Dst != peer {
-				i++
-				continue
-			}
-			m.queue.RemoveAt(i)
-			m.dropPacket(p, obs.DropDeadPeer)
-		}
-		return true
-	}
-	return false
-}
-
-// noteAlive clears the failure history for peer on any decoded frame
-// from it, resurrecting a suspect/dead peer.
-func (m *MAC) noteAlive(peer packet.NodeID) {
-	if !m.cfg.Recovery.Enabled {
-		return
-	}
-	st := m.peerState[peer]
-	if st == mac.PeerAlive {
-		if m.peerFails[peer] != 0 {
-			delete(m.peerFails, peer)
-		}
-		return
-	}
-	delete(m.peerFails, peer)
-	delete(m.peerState, peer)
-	if st == mac.PeerDead {
-		m.counters.Resurrections++
-		if m.cfg.Recorder != nil {
-			obs.Recovery{
-				Node: m.cfg.ID, Peer: peer, Action: obs.RecoveryResurrect,
-				Detail: "frame overheard from dead peer",
-			}.Emit(m.recNow())
-		}
-	}
-}
-
-// watchdogCheck force-resets a node wedged in its ack wait far past
-// the deadline-derived bound (a no-op unless recovery is enabled; the
-// normal timeout path should always fire first, so this is the
-// backstop against scheduling pathologies under injected drift).
-func (m *MAC) watchdogCheck(s int64) {
-	if !m.cfg.Recovery.Enabled || !m.waitingAck {
-		return
-	}
-	bound := m.cfg.Recovery.WatchdogFactor * (m.ackDeadline - m.waitSlot + 2)
-	if s-m.waitSlot <= bound {
-		return
-	}
-	m.counters.WatchdogResets++
-	if m.cfg.Recorder != nil {
-		obs.Recovery{
-			Node: m.cfg.ID, Action: obs.RecoveryWatchdog,
-			Detail: fmt.Sprintf("stuck in wait-ack for %d slots (bound %d)", s-m.waitSlot, bound),
-		}.Emit(m.recNow())
-	}
-	m.Restart()
-}
-
-// recNow returns the recorder and current instant, shaped so emission
-// sites read obs.X{...}.Emit(m.recNow()) and go through the pooled,
-// non-boxing record path.
-func (m *MAC) recNow() (obs.Recorder, sim.Time) {
-	return m.cfg.Recorder, m.cfg.Engine.Now()
+	m.setWaiting(false, m.Slots().SlotAt(m.Engine().Now()))
+	m.Station.Restart()
 }
 
 // setWaiting flips the single piece of protocol state S-ALOHA has,
 // recording it as an idle/wait-ack transition.
 func (m *MAC) setWaiting(w bool, slot int64) {
-	if m.cfg.Recorder != nil && w != m.waitingAck {
+	if m.Observing() && w != m.waitingAck {
 		from, to := "idle", "wait-ack"
 		if !w {
 			from, to = to, from
 		}
-		obs.MACState{Node: m.cfg.ID, From: from, To: to, Slot: slot}.Emit(m.recNow())
+		obs.MACState{Node: m.ID(), From: from, To: to, Slot: slot}.Emit(m.RecNow())
 	}
 	m.waitingAck = w
 }
 
 func (m *MAC) onSlot(s int64) {
-	m.watchdogCheck(s)
+	// The watchdog backstop for a node wedged in its ack wait far past
+	// the deadline (the timeout below should always fire first).
+	if m.waitingAck && m.Watchdog("wait-ack", s-m.waitSlot, m.ackDeadline-m.waitSlot+2) {
+		m.Restart()
+	}
 	if m.waitingAck {
 		if s >= m.ackDeadline {
-			m.setWaiting(false, s)
-			m.counters.Retransmissions++
-			m.emitTimeout(s)
-			head, okHead := m.queue.Peek()
-			if okHead {
-				m.counters.RetransmittedBits += uint64(head.Bits)
-			}
-			m.attempts++
-			if okHead && m.noteFailure(head.Dst) {
-				// The timeout killed the peer; its queued traffic
-				// (including the head) was purged with typed drops.
-				m.attempts = 0
-			} else if m.cfg.MaxRetries > 0 && m.attempts >= m.cfg.MaxRetries {
-				if p, ok := m.queue.Pop(); ok {
-					m.dropPacket(p, obs.DropRetryExhausted)
-				}
-				m.attempts = 0
-			}
-			m.backoffLeft = 1 + m.rng.Intn(m.cw)
-			if m.cw < m.cfg.CWMax {
-				m.cw *= 2
-				if m.cw > m.cfg.CWMax {
-					m.cw = m.cfg.CWMax
-				}
-			}
-			// The round is over: release the in-flight pin so shedding
-			// policies may touch the head again.
-			m.queue.UnlockHead()
+			m.timeout(s)
 		}
 		return
 	}
-	if m.cfg.IsSink {
-		return
-	}
-	head, ok := m.queue.Peek()
-	if !ok {
-		return
-	}
-	if m.cfg.Recovery.Enabled && m.peerState[head.Dst] == mac.PeerDead {
-		// Never transmit toward a corpse: abandon the head with a typed
-		// reason instead of retrying into a void.
-		m.queue.Pop()
-		m.dropPacket(head, obs.DropDeadPeer)
-		return
-	}
-	if m.attempts > 0 &&
-		(m.cfg.Overload.Priority || m.cfg.Overload.Policy == mac.DropDeadline) &&
-		(head.Origin != m.sentOrigin || head.Seq != m.sentSeq) {
-		// The backlog was reshuffled between failed rounds: the failure
-		// history belongs to the old head, not this packet.
-		m.attempts = 0
-	}
-	if m.cfg.Modem.Transmitting() || m.cfg.Modem.Receiving() {
-		return
-	}
-	if m.backoffLeft > 0 {
-		m.backoffLeft--
-		return
-	}
-	if m.attempts > 0 && !m.bucket.Allow(s) {
-		// A retransmission with an empty retry budget: defer to a later
-		// slot instead of joining a fleet-wide retry storm. First
-		// attempts are never gated.
-		m.counters.RetryDeferrals++
-		m.emitOverload(obs.OverloadRetryDefer)
+	head, ok := m.NextHead(s)
+	if !ok || !m.ReadyToSend(s) {
 		return
 	}
 	// Each transmission attempt is its own exchange: a retransmission
 	// after a lost Ack gets a fresh lineage, like a fresh RTS round in
 	// the handshake protocols.
-	m.xidSeq++
 	f := &packet.Frame{
 		Kind:        packet.KindData,
-		Src:         m.cfg.ID,
+		Src:         m.ID(),
 		Dst:         head.Dst,
 		Seq:         head.Seq,
 		Origin:      head.Origin,
 		GeneratedAt: head.GeneratedAt,
 		DataBits:    head.Bits,
-		Timestamp:   m.localNow().Duration(),
-		XID:         uint64(m.cfg.ID)<<32 | m.xidSeq,
+		Timestamp:   m.LocalNow().Duration(),
+		XID:         m.NewXID(),
 	}
-	if err := m.cfg.Modem.Transmit(f); err != nil {
+	if err := m.Modem().Transmit(f); err != nil {
 		return
 	}
 	m.setWaiting(true, s)
-	// The head is in flight until the Ack or the timeout: pin it
-	// against every shedding scan.
-	m.queue.LockHead()
+	m.Launched(head)
 	m.waitSlot = s
-	m.sentSeq = head.Seq
-	m.sentOrigin = head.Origin
 	m.sentXID = f.XID
 	// The data may span several slots (Equation (5)); the Ack comes one
 	// slot after it fully arrives, worst case τmax away.
-	dataTx := packet.Duration(packet.DataHeaderBits+head.Bits, m.cfg.BitRate)
-	m.ackDeadline = m.cfg.Slots.AckSlot(s, dataTx, m.cfg.Slots.TauMax) + 2
+	slots := m.Slots()
+	dataTx := packet.Duration(packet.DataHeaderBits+head.Bits, m.BitRate())
+	m.ackDeadline = slots.AckSlot(s, dataTx, slots.TauMax) + 2
+}
+
+// timeout ends an unanswered ack wait (ALOHA has no RTS round; the ack
+// wait is its whole contention) and backs off. The head stays pinned
+// until the failure is booked, so no shedding scan can swap it out.
+func (m *MAC) timeout(s int64) {
+	m.setWaiting(false, s)
+	c := m.CountersRef()
+	c.Retransmissions++
+	head, ok := m.Queue().Peek()
+	if ok {
+		if m.Observing() {
+			obs.Contention{
+				Node: m.ID(), Peer: head.Dst,
+				Outcome: obs.ContentionTimeout, Slot: s, XID: m.sentXID,
+			}.Emit(m.RecNow())
+		}
+		c.RetransmittedBits += uint64(head.Bits)
+	}
+	m.FailAttempt(s, ok)
+	m.Queue().UnlockHead()
 }
 
 // OnFrameReceived implements phy.Listener.
 func (m *MAC) OnFrameReceived(f *packet.Frame) {
-	// Any decoded frame proves the peer transmits: resurrect it if the
-	// liveness layer had written it off.
-	m.noteAlive(f.Src)
+	m.HeardFrom(f.Src)
 	switch f.Kind {
 	case packet.KindData:
-		if f.Dst != m.cfg.ID {
+		if f.Dst != m.ID() {
 			return
 		}
-		key := uint64(f.Origin)<<32 | uint64(f.Seq)
-		if _, dup := m.seen[key]; dup {
-			m.counters.DuplicatesRx++
-		} else {
-			m.seen[key] = struct{}{}
-			m.counters.DeliveredPackets++
-			m.counters.DeliveredBits += uint64(f.DataBits)
-			latency := m.cfg.Engine.Now().Duration() - f.GeneratedAt
-			m.counters.LatencySum += latency
-			if m.cfg.Recorder != nil {
-				obs.Delivery{
-					Node: m.cfg.ID, Origin: f.Origin, Seq: f.Seq,
-					Bits: f.DataBits, Latency: latency, XID: f.XID,
-				}.Emit(m.recNow())
-			}
-		}
+		m.DeliverData(f, false)
 		ack := &packet.Frame{
-			Kind: packet.KindAck, Src: m.cfg.ID, Dst: f.Src, Seq: f.Seq,
-			Timestamp: m.localNow().Duration(), XID: f.XID,
+			Kind: packet.KindAck, Src: m.ID(), Dst: f.Src, Seq: f.Seq,
+			Timestamp: m.LocalNow().Duration(), XID: f.XID,
 		}
 		// The Ack goes out at the next slot boundary to keep the
 		// channel slot-aligned.
-		at := m.cfg.Slots.StartOf(m.cfg.Slots.SlotAt(m.cfg.Engine.Now()) + 1)
-		if now := m.cfg.Engine.Now(); at.Before(now) {
-			at = now
-		}
-		m.cfg.Engine.MustScheduleAt(at, sim.PriorityMAC, func() {
-			ack.Timestamp = m.localNow().Duration()
-			_ = m.cfg.Modem.Transmit(ack)
+		slots := m.Slots()
+		at := slots.StartOf(slots.SlotAt(m.Engine().Now()) + 1)
+		m.ScheduleClamped(at, sim.PriorityMAC, func() {
+			ack.Timestamp = m.LocalNow().Duration()
+			_ = m.Modem().Transmit(ack)
 		})
 	case packet.KindAck:
-		if f.Dst != m.cfg.ID || !m.waitingAck || f.Seq != m.sentSeq {
+		if f.Dst != m.ID() || !m.waitingAck {
 			return
 		}
-		m.setWaiting(false, m.cfg.Slots.SlotAt(m.cfg.Engine.Now()))
-		m.queue.Pop()
-		m.counters.AckedPackets++
-		m.cw = m.cfg.CWMin
+		// While waiting, the pinned queue head is the packet in flight.
+		if head, _ := m.Queue().Peek(); f.Seq != head.Seq {
+			return
+		}
+		m.setWaiting(false, m.Slots().SlotAt(m.Engine().Now()))
+		// Unlike the handshake engine, a success here leaves the
+		// failed-attempt count standing.
+		m.HeadAcked()
 	default:
 		// ALOHA ignores every negotiation frame.
-	}
-}
-
-// emitTimeout records an unanswered data transmission (ALOHA has no
-// RTS round; the ack wait is its whole contention).
-func (m *MAC) emitTimeout(slot int64) {
-	if m.cfg.Recorder != nil {
-		if head, ok := m.queue.Peek(); ok {
-			obs.Contention{
-				Node: m.cfg.ID, Peer: head.Dst,
-				Outcome: obs.ContentionTimeout, Slot: slot, XID: m.sentXID,
-			}.Emit(m.recNow())
-		}
 	}
 }
 

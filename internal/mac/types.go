@@ -2,9 +2,11 @@
 // built on: slot arithmetic for the τmax+ω slotted channel, the one-hop
 // propagation-delay table maintained from received timestamps (paper
 // §4.3), a ledger of overheard negotiations used to predict neighbors'
-// busy windows (paper §4.2/Figure 2), transmit queues, and a Base
-// engine implementing the shared four-way RTS/CTS/Data/Ack handshake
-// with protocol-specific hooks.
+// busy windows (paper §4.2/Figure 2), the Station core every MAC embeds
+// (transmit queue with overload protection, peer liveness, backoff,
+// dedup, and the clock-aware slot loop), and a Base engine on top of it
+// implementing the shared four-way RTS/CTS/Data/Ack handshake with
+// protocol-specific hooks.
 //
 // All four protocols of the paper's evaluation — EW-MAC, S-FAMA, ROPA,
 // and CS-MAC — are implemented on this common base, mirroring the
@@ -169,11 +171,10 @@ func (c Counters) Add(o Counters) Counters {
 	}
 }
 
-// CountDrop accounts one abandoned packet under the given typed reason
+// countDrop accounts one abandoned packet under the given typed reason
 // (the obs.Drop* strings), keeping the per-cause breakdown in lockstep
-// with the Dropped total. Shared by Base and MACs with private drop
-// paths (S-ALOHA).
-func (c *Counters) CountDrop(reason string) {
+// with the Dropped total.
+func (c *Counters) countDrop(reason string) {
 	c.Dropped++
 	switch reason {
 	case obs.DropRetryExhausted:

@@ -45,6 +45,17 @@ func steadyState() (at sim.Time, f *packet.Frame, emit func(Recorder)) {
 	return
 }
 
+// skipPooledUnderRace skips a pin on the pooled record path in race
+// builds, where sync.Pool deliberately drops Puts (the standard
+// library's own allocation tests skip the same way). Normal builds —
+// the tier-1 suite and the benchjson alloc gate — still enforce it.
+func skipPooledUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops one Put in four at random under the race detector")
+	}
+}
+
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(200, f); avg != 0 {
@@ -53,6 +64,7 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 func TestRecordPathZeroAllocNoop(t *testing.T) {
+	skipPooledUnderRace(t)
 	_, _, emit := steadyState()
 	noop := RecorderFunc(func(sim.Time, Event) {})
 	assertZeroAllocs(t, "noop recorder", func() { emit(noop) })
@@ -64,6 +76,7 @@ func TestRecordPathZeroAllocNilRecorder(t *testing.T) {
 }
 
 func TestRecordPathZeroAllocJSONL(t *testing.T) {
+	skipPooledUnderRace(t)
 	_, _, emit := steadyState()
 	j := NewJSONL(io.Discard)
 	defer j.Close()
@@ -74,6 +87,7 @@ func TestRecordPathZeroAllocJSONL(t *testing.T) {
 }
 
 func TestRecordPathZeroAllocCollector(t *testing.T) {
+	skipPooledUnderRace(t)
 	_, _, emit := steadyState()
 	c := NewCollector()
 	emit(c) // warm the interning maps and per-node slices
@@ -84,6 +98,7 @@ func TestRecordPathZeroAllocCollector(t *testing.T) {
 // analysis recorder + trace exporter + report collector behind one
 // Multi, the configuration the headline ewmac/obs-on benchmark runs.
 func TestRecordPathZeroAllocFanOut(t *testing.T) {
+	skipPooledUnderRace(t)
 	_, _, emit := steadyState()
 	j := NewJSONL(io.Discard)
 	defer j.Close()
