@@ -195,10 +195,39 @@ func goldenOverloadConfig(t *testing.T, p Protocol) Config {
 }
 
 // goldenOverloadHashes pins the FNV-64a digest of the full JSONL trace
-// of goldenOverloadConfig per protocol.
+// of goldenOverloadConfig per protocol. The static goldens hash frames
+// only; these digests also cover every emitted event field, including
+// the extra-exchange lifecycle of EW-MAC, ROPA and CS-MAC.
 var goldenOverloadHashes = map[Protocol]uint64{
 	ProtocolSALOHA: 0xd568ba05cea0cf6b,
 	ProtocolSFAMA:  0xe6a2d5c580550e59,
+	ProtocolEWMAC:  0xd423049241ada644,
+	ProtocolROPA:   0x73e3abb9593474fb,
+	ProtocolCSMAC:  0x417d6ffa08f53c9e,
+}
+
+// overloadTags lists, per protocol, the event tags goldenOverloadConfig
+// must reach. Every MAC shares the station paths; EW-MAC never declares
+// a peer dead in this scenario, and the protocols with an extra path
+// must still walk its lifecycle.
+func overloadTags(p Protocol) []string {
+	tags := []string{
+		"mac.recovery/suspect",
+		"mac.drop/deadline-expired", "mac.drop/load-shed",
+		"mac.overload/shed-begin", "mac.overload/shed-end", "mac.overload/retry-defer",
+	}
+	if p != ProtocolEWMAC {
+		tags = append(tags, "mac.recovery/dead", "mac.recovery/resurrect", "mac.drop/dead-peer")
+	}
+	switch p {
+	case ProtocolEWMAC:
+		tags = append(tags, "mac.extra/request", "mac.extra/complete", "mac.extra/grant", "mac.extra/abort")
+	case ProtocolROPA:
+		tags = append(tags, "mac.extra/request", "mac.extra/complete", "mac.extra/grant")
+	case ProtocolCSMAC:
+		tags = append(tags, "mac.extra/request", "mac.extra/complete", "mac.extra/abort")
+	}
+	return tags
 }
 
 // overloadTrace runs cfg with the JSONL trace on and returns its digest
@@ -248,11 +277,7 @@ func TestGoldenOverloadTraceHash(t *testing.T) {
 		t.Run(string(p), func(t *testing.T) {
 			t.Parallel()
 			got, tags := overloadTrace(t, goldenOverloadConfig(t, p))
-			for _, tag := range []string{
-				"mac.recovery/suspect", "mac.recovery/dead", "mac.recovery/resurrect",
-				"mac.drop/dead-peer", "mac.drop/deadline-expired", "mac.drop/load-shed",
-				"mac.overload/shed-begin", "mac.overload/shed-end", "mac.overload/retry-defer",
-			} {
+			for _, tag := range overloadTags(p) {
 				if tags[tag] == 0 {
 					t.Errorf("scenario no longer reaches %s", tag)
 				}
