@@ -11,24 +11,6 @@ import (
 	"ewmac/internal/sim"
 )
 
-// nopHooks is a minimal protocol: first-RTS-wins, no extras.
-type nopHooks struct{}
-
-func (nopHooks) PickWinner(c []*packet.Frame) *packet.Frame {
-	if len(c) == 0 {
-		return nil
-	}
-	return c[0]
-}
-func (nopHooks) Piggyback(*packet.Frame)        {}
-func (nopHooks) OnSlotStart(int64)              {}
-func (nopHooks) OnContentionLost(*packet.Frame) {}
-func (nopHooks) OnNegotiated(*packet.Frame)     {}
-func (nopHooks) OnOverheard(*packet.Frame)      {}
-func (nopHooks) OnExtraFrame(*packet.Frame)     {}
-func (nopHooks) OnRestart()                     {}
-
-// sinkMedium swallows transmissions.
 type sinkMedium struct{}
 
 func (sinkMedium) Broadcast(packet.NodeID, *packet.Frame, time.Duration) error { return nil }
@@ -57,7 +39,7 @@ func testBase(t *testing.T) (*Base, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetHooks(nopHooks{})
+	b.SetHooks(DefaultHooks{})
 	return b, eng
 }
 
@@ -163,7 +145,7 @@ func TestMaxRetriesDropsPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetHooks(nopHooks{})
+	b.SetHooks(DefaultHooks{})
 	b.Start()
 	b.Enqueue(AppPacket{Dst: 9, Bits: 1024})
 	eng.RunUntil(sim.At(300 * time.Second))

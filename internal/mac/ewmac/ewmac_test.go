@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -241,12 +242,12 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	tau21, _ := m.Table().Delay(1, now)
 	dataWindowStart := slots.StartOf(curSlot + 2).Add(tau31)
 	sendT := dataWindowStart.Add(50 * time.Millisecond).Add(-tau21)
-	if m.ClearAtNeighborsForTest(sendT, 20*time.Millisecond, 3) {
+	if m.clearAtNeighbors(sendT, 20*time.Millisecond, 3) {
 		t.Error("guard admitted a transmission into a negotiated receive window")
 	}
 	// The same transmission shifted well before the window is fine.
 	early := dataWindowStart.Add(-500 * time.Millisecond).Add(-tau21)
-	if !m.ClearAtNeighborsForTest(early, 20*time.Millisecond, 3) {
+	if !m.clearAtNeighbors(early, 20*time.Millisecond, 3) {
 		t.Error("guard refused a clearly safe transmission")
 	}
 	// With the ablation knob the unsafe transmission is admitted.
@@ -256,7 +257,7 @@ func TestClearAtNeighborsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !un.ClearAtNeighborsForTest(sendT, 20*time.Millisecond, 3) {
+	if !un.clearAtNeighbors(sendT, 20*time.Millisecond, 3) {
 		t.Error("ablation knob did not disable the guard")
 	}
 }
@@ -270,7 +271,73 @@ func TestGuardRefusesUnknownDelays(t *testing.T) {
 	// No hello phase has run at t=0: table empty; ledger names node 3.
 	cts := &packet.Frame{Kind: packet.KindCTS, Src: 1, Dst: 3, PairDelay: 400 * time.Millisecond, DataBits: 2048}
 	m.Ledger().ObserveCTS(cts, 2, m.DataTx(2048))
-	if m.ClearAtNeighborsForTest(sim.At(time.Second), 20*time.Millisecond, 99) {
+	if m.clearAtNeighbors(sim.At(time.Second), 20*time.Millisecond, 99) {
 		t.Error("guard admitted a transmission with unknown neighbor delays")
+	}
+}
+
+// TestOnPeerDead: when the liveness layer declares a peer dead, EW-MAC
+// quarantines the peer's delay entry, aborts an in-flight extra to it
+// with reason "peer-dead" and releases a grant issued to it; an extra
+// exchange with a different peer is left alone.
+func TestOnPeerDead(t *testing.T) {
+	r := newRig(t, 1, Options{}, figure4Positions()...)
+	var extras []obs.Extra
+	rec := obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if x, ok := e.(*obs.Extra); ok {
+			extras = append(extras, *x)
+		}
+	})
+	host := r.macs[1]
+	m, err := New(mac.Config{
+		ID: 2, Engine: r.eng, Modem: host.Modem(), Slots: host.Slots(), BitRate: host.BitRate(), Recorder: rec,
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := r.eng.Now()
+	m.Table().ObservePair(1, 200*time.Millisecond, now)
+	m.Table().ObservePair(3, 300*time.Millisecond, now)
+	timedOut := 0
+	arm := func(peer packet.NodeID) {
+		att := &extraAttempt{target: peer, pkt: mac.AppPacket{Dst: peer, Bits: 1024}, phase: phaseRequested, xid: 42, parent: 7}
+		att.timeout = m.ScheduleClamped(now.Add(time.Second), sim.PriorityMAC, func() { timedOut++ })
+		m.extra = att
+		m.granted = &grantedExtra{from: peer, bits: 1024, at: now.Add(2 * time.Second)}
+		m.SetHold(now.Add(5 * time.Second))
+	}
+
+	// An exchange with node 1 survives node 3's death.
+	arm(1)
+	other, otherGrant := m.extra, m.granted
+	m.OnPeerDead(3)
+	if !m.Table().Suspect(3) {
+		t.Error("dead peer's delay entry not marked suspect")
+	}
+	if m.Table().Suspect(1) {
+		t.Error("an unrelated peer's delay entry was marked suspect")
+	}
+	if m.extra != other || m.granted != otherGrant || !m.Held() || len(extras) != 0 {
+		t.Errorf("extra to a different peer disturbed: extra %v grant %v held %v events %v",
+			m.extra != nil, m.granted != nil, m.Held(), extras)
+	}
+	m.extra.timeout.Cancel()
+
+	// An exchange with node 3 is abandoned.
+	arm(3)
+	m.OnPeerDead(3)
+	if m.extra != nil {
+		t.Error("in-flight extra to the dead peer not aborted")
+	}
+	if m.granted != nil || m.Held() {
+		t.Error("grant issued to the dead peer not released")
+	}
+	want := obs.Extra{Node: 2, Peer: 3, Action: obs.ExtraAbort, Reason: "peer-dead", XID: 42, Parent: 7}
+	if len(extras) != 1 || extras[0] != want {
+		t.Errorf("extra events = %+v, want one %+v", extras, want)
+	}
+	r.eng.RunUntil(now.Add(3 * time.Second))
+	if timedOut != 0 {
+		t.Errorf("%d aborted extra timeouts still fired", timedOut)
 	}
 }

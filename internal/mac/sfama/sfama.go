@@ -10,12 +10,15 @@ package sfama
 
 import (
 	"ewmac/internal/mac"
-	"ewmac/internal/packet"
 )
 
-// MAC is the Slotted FAMA protocol.
+// MAC is the Slotted FAMA protocol: the shared engine with the default
+// hooks. A receiver answers the first RTS it decoded in the slot, and
+// control frames carry no neighbor state — the zero-overhead baseline
+// of Figure 10. The defer behaviour lives in the base ledger.
 type MAC struct {
 	*mac.Base
+	mac.DefaultHooks
 }
 
 var _ mac.Protocol = (*MAC)(nil)
@@ -34,37 +37,3 @@ func New(cfg mac.Config) (*MAC, error) {
 
 // Name implements mac.Protocol.
 func (m *MAC) Name() string { return "S-FAMA" }
-
-// PickWinner implements mac.Hooks: the original S-FAMA replies to the
-// first successfully received RTS; later ones in the same slot lose.
-func (m *MAC) PickWinner(cands []*packet.Frame) *packet.Frame {
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[0]
-}
-
-// Piggyback implements mac.Hooks: S-FAMA carries no neighbor state —
-// it is the zero-overhead baseline of Figure 10.
-func (m *MAC) Piggyback(*packet.Frame) {}
-
-// OnSlotStart implements mac.Hooks.
-func (m *MAC) OnSlotStart(int64) {}
-
-// OnContentionLost implements mac.Hooks: S-FAMA simply backs off.
-func (m *MAC) OnContentionLost(*packet.Frame) {}
-
-// OnNegotiated implements mac.Hooks.
-func (m *MAC) OnNegotiated(*packet.Frame) {}
-
-// OnOverheard implements mac.Hooks: the defer behaviour is already
-// handled by the base ledger.
-func (m *MAC) OnOverheard(*packet.Frame) {}
-
-// OnExtraFrame implements mac.Hooks: S-FAMA has no extra-communication
-// path; a stray extra frame is ignored.
-func (m *MAC) OnExtraFrame(*packet.Frame) {}
-
-// OnRestart implements mac.Hooks: S-FAMA keeps no protocol-private
-// exchange state beyond the base.
-func (m *MAC) OnRestart() {}
