@@ -169,8 +169,6 @@ func (m *MAC) OnFrameReceived(f *packet.Frame) {
 			return
 		}
 		m.setWaiting(false, m.Slots().SlotAt(m.Engine().Now()))
-		// Unlike the handshake engine, a success here leaves the
-		// failed-attempt count standing.
 		m.HeadAcked()
 	default:
 		// ALOHA ignores every negotiation frame.

@@ -400,18 +400,14 @@ func (st *Station) FailAttempt(s int64, inFlight bool) {
 	}
 }
 
-// HeadAcked pops the acknowledged queue head, counts it, and shrinks
-// the contention window back to CWMin.
+// HeadAcked completes the acknowledged queue head: it is popped and
+// counted, the contention window shrinks back to CWMin, and the next
+// head starts with a clean slate — no failure history, its wait
+// starting now.
 func (st *Station) HeadAcked() {
 	st.queue.Pop()
 	st.counters.AckedPackets++
 	st.cw = st.cfg.CWMin
-}
-
-// completeHead is HeadAcked plus a clean slate for the next head: its
-// failure history is cleared and its wait starts now.
-func (st *Station) completeHead() {
-	st.HeadAcked()
 	st.curAttempts = 0
 	st.headSince = st.cfg.Slots.SlotAt(st.cfg.Engine.Now())
 }
