@@ -8,6 +8,14 @@
 // implementing the shared four-way RTS/CTS/Data/Ack handshake with
 // protocol-specific hooks.
 //
+// What the handshake protocols would otherwise each copy lives here
+// too: DefaultHooks (first-arrival RTS arbitration and no-op hooks,
+// which a protocol embeds and shadows only where its mechanism
+// differs), TwoHop (the two-hop neighbor upkeep of ROPA and CS-MAC),
+// and the extra-exchange helpers on Base — RecordExtra for lifecycle
+// events, ClearAtNeighbors for the §4.2 receive-window check, and the
+// DataFrame and DeliverExtra frame builders.
+//
 // All four protocols of the paper's evaluation — EW-MAC, S-FAMA, ROPA,
 // and CS-MAC — are implemented on this common base, mirroring the
 // paper's methodology of rewriting every MAC model on the same slotted
