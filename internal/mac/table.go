@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"sort"
 	"time"
 
 	"ewmac/internal/packet"
@@ -14,7 +13,11 @@ import (
 // (arrival end − timestamp − transmission time). Entries age out so
 // stale estimates for drifted neighbors are not trusted forever.
 type NeighborTable struct {
-	entries map[packet.NodeID]tableEntry
+	// entries is indexed by NodeID — IDs are dense small integers — and
+	// grows on demand; a slot is in use only when its known flag is set.
+	entries []tableEntry
+	// used counts the slots in use.
+	used int
 	// TTL is how long an estimate stays trusted; zero disables aging.
 	TTL time.Duration
 }
@@ -27,11 +30,34 @@ type tableEntry struct {
 	// delay learned from that peer's timestamps — including this one —
 	// is then untrustworthy until a plausible measurement clears it.
 	suspect bool
+	// known marks the slot as in use.
+	known bool
 }
 
 // NewNeighborTable returns an empty table with the given TTL.
 func NewNeighborTable(ttl time.Duration) *NeighborTable {
-	return &NeighborTable{entries: make(map[packet.NodeID]tableEntry), TTL: ttl}
+	return &NeighborTable{TTL: ttl}
+}
+
+// lookup returns id's slot, or nil if id has no entry.
+func (t *NeighborTable) lookup(id packet.NodeID) *tableEntry {
+	if int(id) < len(t.entries) && t.entries[id].known {
+		return &t.entries[id]
+	}
+	return nil
+}
+
+// set stores a fresh (not suspect) entry for id, growing the table to
+// reach it.
+func (t *NeighborTable) set(id packet.NodeID, delay time.Duration, heard sim.Time) {
+	if n := int(id) + 1; n > len(t.entries) {
+		t.entries = append(t.entries, make([]tableEntry, n-len(t.entries))...)
+	}
+	e := &t.entries[id]
+	if !e.known {
+		t.used++
+	}
+	*e = tableEntry{delay: delay, heard: heard, known: true}
 }
 
 // Observe updates the sender's delay estimate from a received frame.
@@ -44,7 +70,7 @@ func (t *NeighborTable) Observe(f *packet.Frame, arrivalEnd sim.Time, txDur time
 		// neighbor known with a zero-floor delay.
 		delay = 0
 	}
-	t.entries[f.Src] = tableEntry{delay: delay, heard: arrivalEnd}
+	t.set(f.Src, delay, arrivalEnd)
 }
 
 // ObservePair folds in piggybacked third-party delay info (e.g. a CTS
@@ -56,31 +82,33 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 	if id == packet.Nobody || id == packet.Broadcast {
 		return
 	}
-	if _, ok := t.entries[id]; ok {
+	if t.lookup(id) != nil {
 		return
 	}
-	t.entries[id] = tableEntry{delay: delay, heard: now}
+	t.set(id, delay, now)
 }
 
 // Delay returns the current estimate for a neighbor and whether a live
 // estimate exists.
 func (t *NeighborTable) Delay(id packet.NodeID, now sim.Time) (time.Duration, bool) {
-	e, ok := t.entries[id]
-	if !ok {
-		return 0, false
-	}
-	if t.TTL > 0 && now.Sub(e.heard) > t.TTL {
+	e := t.lookup(id)
+	if e == nil || !t.live(e, now) {
 		return 0, false
 	}
 	return e.delay, true
+}
+
+// live reports whether an entry is within its TTL.
+func (t *NeighborTable) live(e *tableEntry, now sim.Time) bool {
+	return t.TTL <= 0 || now.Sub(e.heard) <= t.TTL
 }
 
 // Age returns how long ago the estimate for a neighbor was refreshed,
 // and whether any estimate (live or stale) exists. Staleness-aware
 // admission rules use it to distrust old entries before TTL expiry.
 func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
-	e, ok := t.entries[id]
-	if !ok {
+	e := t.lookup(id)
+	if e == nil {
 		return 0, false
 	}
 	return now.Sub(e.heard), true
@@ -90,36 +118,37 @@ func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool
 // produced an impossible delay measurement). A later plausible
 // Observe clears the flag.
 func (t *NeighborTable) MarkSuspect(id packet.NodeID) {
-	if e, ok := t.entries[id]; ok {
+	if e := t.lookup(id); e != nil {
 		e.suspect = true
-		t.entries[id] = e
 	}
 }
 
 // Suspect reports whether the entry exists and is flagged suspect.
 func (t *NeighborTable) Suspect(id packet.NodeID) bool {
-	return t.entries[id].suspect
+	e := t.lookup(id)
+	return e != nil && e.suspect
 }
 
-// Clear drops every entry (node cold-start after a crash).
+// Clear drops every entry (node cold-start after a crash). The slots
+// are kept for reuse; set zeroes any it grows back into.
 func (t *NeighborTable) Clear() {
-	t.entries = make(map[packet.NodeID]tableEntry)
+	t.entries = t.entries[:0]
+	t.used = 0
 }
 
-// Known returns the IDs with live estimates, sorted for determinism.
+// Known returns the IDs with live estimates in ascending order.
 func (t *NeighborTable) Known(now sim.Time) []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(t.entries))
-	for id := range t.entries {
-		if _, ok := t.Delay(id, now); ok {
-			out = append(out, id)
+	out := make([]packet.NodeID, 0, t.used)
+	for i := range t.entries {
+		if e := &t.entries[i]; e.known && t.live(e, now) {
+			out = append(out, packet.NodeID(i))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Len reports the number of entries (live or stale).
-func (t *NeighborTable) Len() int { return len(t.entries) }
+func (t *NeighborTable) Len() int { return t.used }
 
 // Snapshot returns up to max live entries as piggybackable
 // NeighborInfo, sorted by ID. CS-MAC and ROPA use this to distribute

@@ -85,3 +85,67 @@ func TestKnownSortedAndSnapshot(t *testing.T) {
 		t.Fatalf("unbounded Snapshot = %v", full)
 	}
 }
+
+// The table is a slice indexed by NodeID; these pin what the map it
+// replaced guaranteed: only observed IDs are entries, Known is in ID
+// order, and Clear leaves nothing behind.
+func TestTableSlots(t *testing.T) {
+	now := sim.At(time.Second)
+	hello := func(id packet.NodeID) *packet.Frame {
+		return &packet.Frame{Kind: packet.KindHello, Src: id, Dst: packet.Broadcast}
+	}
+	tab := NewNeighborTable(0)
+	for _, id := range []packet.NodeID{12, 2, 0xFFFE, 5} {
+		tab.Observe(hello(id), now, 0)
+	}
+	if got := tab.Known(now); len(got) != 4 || got[0] != 2 || got[1] != 5 || got[2] != 12 || got[3] != 0xFFFE {
+		t.Fatalf("Known = %v, want [2 5 12 65534]", got)
+	}
+	if tab.Len() != 4 {
+		t.Errorf("Len = %d, want 4", tab.Len())
+	}
+	if d, ok := tab.Delay(0xFFFE, now); !ok || d != time.Second {
+		t.Errorf("Delay(0xFFFE) = %v, %v; want 1s", d, ok)
+	}
+
+	// IDs below the highest one seen, never observed, are not entries.
+	for _, id := range []packet.NodeID{3, 13, 0xFFFD} {
+		tab.MarkSuspect(id)
+		if tab.Suspect(id) {
+			t.Errorf("Suspect(%d) on an ID never seen", id)
+		}
+		if _, ok := tab.Age(id, now); ok {
+			t.Errorf("Age(%d) found an ID never seen", id)
+		}
+	}
+	if tab.Len() != 4 {
+		t.Errorf("Len = %d after MarkSuspect on unseen IDs, want 4", tab.Len())
+	}
+	tab.MarkSuspect(5)
+	if !tab.Suspect(5) {
+		t.Error("MarkSuspect(5) did not flag a known entry")
+	}
+
+	tab.ObservePair(packet.Broadcast, time.Second, now)
+	tab.ObservePair(packet.Nobody, time.Second, now)
+	if tab.Len() != 4 {
+		t.Errorf("Len = %d after reserved-ID ObservePair, want 4", tab.Len())
+	}
+
+	tab.Clear()
+	if tab.Len() != 0 || len(tab.Known(now)) != 0 {
+		t.Fatalf("after Clear: Len = %d, Known = %v", tab.Len(), tab.Known(now))
+	}
+	tab.Observe(hello(20), now, 0)
+	if got := tab.Known(now); len(got) != 1 || got[0] != 20 {
+		t.Errorf("Known after Clear+Observe = %v, want [20]", got)
+	}
+	for _, id := range []packet.NodeID{2, 5, 12} {
+		if _, ok := tab.Age(id, now); ok || tab.Suspect(id) {
+			t.Errorf("stale entry %d survived Clear", id)
+		}
+	}
+	if tab.Len() != 1 {
+		t.Errorf("Len = %d after Clear+Observe, want 1", tab.Len())
+	}
+}

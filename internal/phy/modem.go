@@ -121,6 +121,11 @@ type Modem struct {
 	listener Listener
 	meter    *energy.Meter
 	rng      *sim.RNG
+	// noiseLin / noiseDB are the model's ambient noise floor, fixed when
+	// the modem is built: the Wenz inputs never change during a run, and
+	// recomputing them on every arrival dominated the PHY's cost.
+	noiseLin float64
+	noiseDB  float64
 
 	transmitting bool
 	txFrame      *packet.Frame
@@ -137,7 +142,9 @@ type Modem struct {
 	rec obs.Recorder
 }
 
-// Config assembles a modem.
+// Config assembles a modem. Model is read when the modem is built (the
+// ambient noise floor is computed once, then) and must not be mutated
+// afterwards; one model may be shared by many modems and concurrent runs.
 type Config struct {
 	ID       packet.NodeID
 	Engine   *sim.Engine
@@ -168,6 +175,7 @@ func NewModem(cfg Config) (*Modem, error) {
 	if per == nil {
 		per = acoustic.ThresholdPER{ThresholdDB: cfg.Model.SINRThresholdDB}
 	}
+	noiseLin := acoustic.DBToLin(cfg.Model.NoiseLevelDB())
 	return &Modem{
 		id:       cfg.ID,
 		eng:      cfg.Engine,
@@ -177,6 +185,8 @@ func NewModem(cfg Config) (*Modem, error) {
 		listener: cfg.Listener,
 		meter:    energy.NewMeter(cfg.Energy, cfg.Engine.Now()),
 		rng:      cfg.Engine.RNG(fmt.Sprintf("phy/%d", cfg.ID)),
+		noiseLin: noiseLin,
+		noiseDB:  acoustic.LinToDB(noiseLin),
 	}, nil
 }
 
@@ -325,7 +335,8 @@ func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration
 		levelLin:  acoustic.DBToLin(levelDB),
 		end:       now.Add(dur),
 		corruptTx: m.transmitting,
-		decodable: syncable && !m.down && m.model.Decodable(m.model.SINRDBFromLin(levelDB, 0)),
+		// levelDB - noiseDB is bit-identical to SINRDBFromLin(levelDB, 0).
+		decodable: syncable && !m.down && m.model.Decodable(levelDB-m.noiseDB),
 	}
 	m.arrivals = append(m.arrivals, a)
 	m.refreshInterference()
@@ -387,7 +398,8 @@ func (m *Modem) endArrival(a *arrival) {
 		m.notifyLost(a.frame, LossTxDuringRx)
 		return
 	}
-	sinr := m.model.SINRDBFromLin(a.levelDB, a.maxOtherLin)
+	// The same formula as acoustic.Model.SINRDBFromLin, on the cached floor.
+	sinr := a.levelDB - acoustic.LinToDB(m.noiseLin+a.maxOtherLin)
 	perr := m.per.PER(sinr, a.frame.Bits())
 	if perr > 0 && (perr >= 1 || m.rng.Float64() < perr) {
 		if a.maxOtherLin > 0 {

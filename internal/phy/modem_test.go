@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -479,5 +480,99 @@ func TestInjectInterference(t *testing.T) {
 	}
 	if len(recB.lost) != 1 || recB.lost[0] != LossCollision {
 		t.Fatalf("lost = %v, want one collision", recB.lost)
+	}
+}
+
+// sinrLog is a threshold PER model that records every SINR the modem
+// hands it.
+type sinrLog struct {
+	thresholdDB float64
+	got         []float64
+}
+
+func (p *sinrLog) PER(sinrDB float64, _ int) float64 {
+	p.got = append(p.got, sinrDB)
+	if sinrDB >= p.thresholdDB {
+		return 0
+	}
+	return 1
+}
+
+// The modem computes the noise floor once, when it is built. Its
+// decode and collision outcomes, and the SINR it computes, must equal
+// Model.SINRDBFromLin's bit for bit — on a non-default environment, and
+// at levels one ulp either side of the decode threshold.
+func TestModemNoiseFloorMatchesModel(t *testing.T) {
+	model := acoustic.DefaultModel()
+	model.WindMS = 10 // as examples/deepwater
+	model.Shipping = 0.9
+	eng := sim.NewEngine(1)
+	per := &sinrLog{thresholdDB: model.SINRThresholdDB}
+	rec := &recorder{}
+	m, err := NewModem(Config{
+		ID: 1, Engine: eng, Model: model, PER: per,
+		Medium: &fakeMedium{eng: eng}, Listener: rec, Energy: energy.DefaultProfile(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	edge := model.SINRThresholdDB + acoustic.LinToDB(acoustic.DBToLin(model.NoiseLevelDB()))
+	// Each case is one or two arrivals starting together; cases are
+	// spaced a second apart so they never overlap each other.
+	cases := [][]float64{
+		{math.Nextafter(edge, math.Inf(-1))},
+		{edge},
+		{math.Nextafter(edge, math.Inf(1))},
+		{edge - 0.5},
+		{edge + 0.5},
+		{edge + 15, edge + 3},
+		{edge + 12, edge + 1},
+		{edge + 8, edge + 8},
+		{edge + 20, edge - 5},
+	}
+	const dur = 100 * time.Millisecond
+	var wantSINR []float64
+	wantRx, wantColl := 0, 0
+	for i, levels := range cases {
+		at := sim.At(time.Duration(i) * time.Second)
+		var total float64
+		for _, l := range levels {
+			total += acoustic.DBToLin(l)
+		}
+		for _, l := range levels {
+			l := l
+			eng.MustScheduleAt(at, sim.PriorityPHY, func() {
+				m.BeginArrival(&packet.Frame{Kind: packet.KindRTS, Src: 2, Dst: 1}, l, dur, true)
+			})
+			if !model.Decodable(model.SINRDBFromLin(l, 0)) {
+				continue
+			}
+			other := 0.0
+			if len(levels) > 1 {
+				other = total - acoustic.DBToLin(l)
+			}
+			sinr := model.SINRDBFromLin(l, other)
+			wantSINR = append(wantSINR, sinr)
+			switch {
+			case model.Decodable(sinr):
+				wantRx++
+			case other > 0:
+				wantColl++
+			}
+		}
+	}
+	eng.Run()
+
+	if len(per.got) != len(wantSINR) {
+		t.Fatalf("modem computed %d SINRs, model predicts %d decodable arrivals", len(per.got), len(wantSINR))
+	}
+	for i := range wantSINR {
+		if math.Float64bits(per.got[i]) != math.Float64bits(wantSINR[i]) {
+			t.Errorf("SINR %d = %v, model says %v", i, per.got[i], wantSINR[i])
+		}
+	}
+	if s := m.Stats(); len(rec.received) != wantRx || int(s.Collisions) != wantColl {
+		t.Errorf("received %d, collisions %d; model predicts %d, %d", len(rec.received), s.Collisions, wantRx, wantColl)
 	}
 }

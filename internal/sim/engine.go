@@ -26,6 +26,13 @@ const (
 // engine's current time.
 var ErrScheduleInPast = errors.New("sim: event scheduled in the past")
 
+// ErrPriorityRange is returned when an event's priority lies outside
+// [0, MaxPriority]: the heap packs the priority into a key's top byte.
+var ErrPriorityRange = errors.New("sim: event priority out of range")
+
+// MaxPriority is the largest priority ScheduleAt accepts.
+const MaxPriority Priority = 255
+
 // Handle identifies a scheduled event and allows cancelling it. It is a
 // small value (copy freely); the zero Handle refers to no event, and
 // Cancel/Pending on it are safe no-ops. Events are pooled and recycled
@@ -59,29 +66,37 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
-// event is a pooled queue entry. gen is bumped every time the entry is
-// recycled, invalidating outstanding Handles.
+// event is a pooled scheduled callback. gen is bumped every time the
+// event is recycled, invalidating outstanding Handles.
 type event struct {
-	at        Time
-	prio      Priority
-	seq       uint64
 	gen       uint64
 	fn        func()
 	eng       *Engine
 	cancelled bool
 }
 
-// eventLess is the total order events execute in: time, then priority,
-// then scheduling sequence. seq is unique, so the order is strict — the
+// entry is one heap slot. It holds the ordering fields by value, so sift
+// comparisons read the contiguous heap array instead of following event
+// pointers. key packs the priority into the top byte above the 56-bit
+// scheduling sequence (2^56 events is centuries of simulation at any
+// realistic rate).
+type entry struct {
+	at  Time
+	key uint64
+	ev  *event
+}
+
+// seqBits is the width of the sequence number in entry.key.
+const seqBits = 56
+
+// less is the total order events execute in: time, then priority, then
+// scheduling sequence. seq is unique, so the order is strict — the
 // execution sequence cannot depend on heap layout or compaction.
-func eventLess(a, b *event) bool {
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 // compactMin is the queue size below which cancelled entries are left
@@ -91,8 +106,8 @@ const compactMin = 64
 // Engine is a deterministic discrete-event scheduler.
 type Engine struct {
 	now    Time
-	events []*event // binary min-heap ordered by eventLess
-	free   []*event // recycled entries; schedule pops from here first
+	events []entry  // binary min-heap ordered by entry.less
+	free   []*event // recycled events; schedule pops from here first
 	// live counts queued events that are neither cancelled nor executed.
 	live     int
 	seq      uint64
@@ -103,7 +118,10 @@ type Engine struct {
 	// lastStream memoizes the most recent RNG lookup so hot paths that
 	// re-request the same named stream skip the map.
 	lastStream *RNG
-	horizon    Time // 0 means unbounded
+	// horizon is the last instant Run may execute, while bounded is set
+	// (only inside RunUntil).
+	horizon Time
+	bounded bool
 	// wallAccum / runStart track wall-clock time spent inside Run for
 	// LoopStats. They are touched only at Run entry/exit, never in the
 	// per-event loop, so instrumentation costs the hot path nothing.
@@ -181,7 +199,7 @@ func (e *Engine) Pending() int { return e.live }
 // that have not yet been discarded or compacted away.
 func (e *Engine) PendingRaw() int { return len(e.events) }
 
-// alloc takes an entry from the free list, or mints one.
+// alloc takes an event from the free list, or mints one.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -192,7 +210,7 @@ func (e *Engine) alloc() *event {
 	return &event{eng: e}
 }
 
-// recycle invalidates outstanding handles and returns the entry to the
+// recycle invalidates outstanding handles and returns the event to the
 // free list.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
@@ -201,52 +219,55 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// push inserts ev into the heap (sift-up).
-func (e *Engine) push(ev *event) {
-	h := append(e.events, ev)
+// push inserts x into the heap (sift-up).
+func (e *Engine) push(x entry) {
+	h := append(e.events, x)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
+		if !x.less(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 	e.events = h
 }
 
-// pop removes and returns the earliest event (sift-down).
-func (e *Engine) pop() *event {
+// pop removes the earliest entry (sift-down).
+func (e *Engine) pop() {
 	h := e.events
 	n := len(h) - 1
-	top := h[0]
 	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	e.events = h
+	h[n] = entry{}
+	e.events = h[:n]
 	e.siftDown(0)
-	return top
 }
 
 func (e *Engine) siftDown(i int) {
 	h := e.events
 	n := len(h)
+	if i >= n {
+		return
+	}
+	x := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		small := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+		if r := l + 1; r < n && h[r].less(h[l]) {
 			small = r
 		}
-		if !eventLess(h[small], h[i]) {
-			return
+		if !h[small].less(x) {
+			break
 		}
-		h[i], h[small] = h[small], h[i]
+		h[i] = h[small]
 		i = small
 	}
+	h[i] = x
 }
 
 // maybeCompact rebuilds the heap without its cancelled entries once
@@ -260,15 +281,15 @@ func (e *Engine) maybeCompact() {
 	}
 	h := e.events
 	out := h[:0]
-	for _, ev := range h {
-		if ev.cancelled {
-			e.recycle(ev)
+	for _, x := range h {
+		if x.ev.cancelled {
+			e.recycle(x.ev)
 		} else {
-			out = append(out, ev)
+			out = append(out, x)
 		}
 	}
 	for i := len(out); i < n; i++ {
-		h[i] = nil
+		h[i] = entry{}
 	}
 	e.events = out
 	for i := len(out)/2 - 1; i >= 0; i-- {
@@ -278,40 +299,41 @@ func (e *Engine) maybeCompact() {
 
 // ScheduleAt queues fn to run at instant at with the given priority and
 // returns a cancellable handle. It returns ErrScheduleInPast if at is
-// earlier than Now. Steady state (pool warm, queue capacity reached) it
+// earlier than Now, and ErrPriorityRange if prio is outside
+// [0, MaxPriority]. Steady state (pool warm, queue capacity reached) it
 // performs no allocations.
 func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) (Handle, error) {
 	if at < e.now {
 		return Handle{}, fmt.Errorf("%w: at %v, now %v", ErrScheduleInPast, at, e.now)
 	}
+	if prio < 0 || prio > MaxPriority {
+		return Handle{}, fmt.Errorf("%w: %d", ErrPriorityRange, prio)
+	}
 	ev := e.alloc()
-	ev.at = at
-	ev.prio = prio
-	ev.seq = e.seq
 	ev.fn = fn
+	e.push(entry{at: at, key: uint64(prio)<<seqBits | e.seq, ev: ev})
 	e.seq++
 	e.live++
-	e.push(ev)
 	return Handle{ev: ev, gen: ev.gen}, nil
 }
 
 // ScheduleIn queues fn to run d after Now. Negative d is clamped to zero
 // so callers computing residual delays do not have to special-case
-// rounding. It panics only if the internal invariant is violated.
+// rounding. It panics on a priority outside [0, MaxPriority].
 func (e *Engine) ScheduleIn(d time.Duration, prio Priority, fn func()) Handle {
 	if d < 0 {
 		d = 0
 	}
 	h, err := e.ScheduleAt(e.now.Add(d), prio, fn)
 	if err != nil {
-		// Unreachable: now+nonnegative >= now.
+		// Only the priority can be wrong: now+nonnegative >= now.
 		panic(err)
 	}
 	return h
 }
 
 // MustScheduleAt is ScheduleAt for callers that have already validated
-// the instant; it panics on ErrScheduleInPast.
+// the instant and priority; it panics on either error.
 func (e *Engine) MustScheduleAt(at Time, prio Priority, fn func()) Handle {
 	h, err := e.ScheduleAt(at, prio, fn)
 	if err != nil {
@@ -323,13 +345,9 @@ func (e *Engine) MustScheduleAt(at Time, prio Priority, fn func()) Handle {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetHorizon makes Run ignore events scheduled after t. A zero horizon
-// means run until the queue drains.
-func (e *Engine) SetHorizon(t Time) { e.horizon = t }
-
-// Run executes events in order until the queue is empty, the horizon is
-// reached, or Stop is called. It returns the number of events executed
-// during this call.
+// Run executes events in order until the queue is empty, the RunUntil
+// horizon is reached, or Stop is called. It returns the number of
+// events executed during this call.
 func (e *Engine) Run() uint64 {
 	if e.budgetErr != nil {
 		// A budget abort is terminal for this engine: the stream was cut
@@ -349,34 +367,35 @@ func (e *Engine) Run() uint64 {
 	}
 	var n uint64
 	for len(e.events) > 0 && !e.stopped {
-		ev := e.pop()
+		top := e.events[0]
+		ev := top.ev
 		if ev.cancelled {
+			e.pop()
 			e.recycle(ev)
 			continue
 		}
-		if e.horizon != 0 && ev.at > e.horizon {
-			// Past the horizon: put the event back and stop so a later
-			// Run/RunUntil call can resume from here.
-			e.push(ev)
+		if e.bounded && top.at > e.horizon {
+			// Past the horizon: leave the event queued and stop so a
+			// later Run/RunUntil call can resume from here.
 			e.now = e.horizon
 			break
 		}
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, e.now))
+		if top.at < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", top.at, e.now))
 		}
 		if e.budgetOn {
-			if berr := e.checkBudget(ev.at); berr != nil {
-				// Abort before touching state: the event goes back on the
-				// queue so Pending stays truthful for post-mortems.
+			if berr := e.checkBudget(top.at); berr != nil {
+				// Abort before touching state: the event stays queued so
+				// Pending stays truthful for post-mortems.
 				e.budgetErr = berr
-				e.push(ev)
 				break
 			}
 		}
-		e.now = ev.at
+		e.pop()
+		e.now = top.at
 		fn := ev.fn
 		// Recycle before running: the heap no longer references the
-		// entry, outstanding Handles are invalidated by the gen bump,
+		// event, outstanding Handles are invalidated by the gen bump,
 		// and fn may immediately reuse the slot for a new event.
 		e.recycle(ev)
 		e.live--
@@ -393,10 +412,10 @@ func (e *Engine) RunUntil(t Time) uint64 {
 	if t < e.now {
 		return 0
 	}
-	prev := e.horizon
-	e.horizon = t
+	prevAt, prevBounded := e.horizon, e.bounded
+	e.horizon, e.bounded = t, true
 	n := e.Run()
-	e.horizon = prev
+	e.horizon, e.bounded = prevAt, prevBounded
 	// A budget abort leaves Now at the abort instant rather than
 	// claiming the full window was simulated.
 	if e.budgetErr == nil && e.now < t {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -93,6 +94,24 @@ func TestRunUntilStopsAtHorizonAndResumes(t *testing.T) {
 	e.Run()
 	if len(ran) != 5 {
 		t.Fatalf("ran %v after resume, want 5 events", ran)
+	}
+}
+
+// Epoch is a real horizon, not "unbounded": an event after it stays
+// queued and the clock stays at Epoch.
+func TestRunUntilEpochStopsAtEpoch(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.ScheduleIn(time.Second, PriorityMAC, func() { ran = true })
+	if n := e.RunUntil(Epoch); n != 0 || ran {
+		t.Fatalf("RunUntil(Epoch) ran %d events", n)
+	}
+	if e.Now() != Epoch || e.Pending() != 1 {
+		t.Fatalf("Now = %v, Pending = %d; want Epoch, 1", e.Now(), e.Pending())
+	}
+	e.RunUntil(At(time.Second))
+	if !ran {
+		t.Fatal("event at the next horizon did not run")
 	}
 }
 
@@ -225,6 +244,96 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: events run in exactly (time, priority, scheduling order) —
+// FIFO among full ties — even when random cancels push the queue past
+// compactMin and trigger lazy compaction mid-stream.
+func TestEngineFullOrderWithCancelsProperty(t *testing.T) {
+	type id struct {
+		at   Time
+		prio Priority
+		seq  int
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		e := NewEngine(1)
+		n := 2*compactMin + r.Intn(8*compactMin)
+		var want, got []id
+		handles := make([]Handle, n)
+		var pending []int
+		for i := 0; i < n; i++ {
+			// Few distinct instants and priorities, so most events tie.
+			k := id{At(time.Duration(r.Intn(8)) * time.Millisecond), Priority(r.Intn(4)), i}
+			handles[i] = e.MustScheduleAt(k.at, k.prio, func() { got = append(got, k) })
+			want = append(want, k)
+			pending = append(pending, i)
+			// Interleaved with scheduling, cancel two events in three
+			// (a random pending one each time): more than half end up
+			// cancelled, which is what triggers compaction.
+			if i%3 != 0 {
+				p := r.Intn(len(pending))
+				j := pending[p]
+				pending[p] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				if !handles[j].Cancel() {
+					return false
+				}
+				want[j].seq = -1
+			}
+		}
+		if e.PendingRaw() >= n {
+			t.Logf("seed %d: compaction never fired (raw %d of %d)", seed, e.PendingRaw(), n)
+			return false
+		}
+		live := want[:0]
+		for _, k := range want {
+			if k.seq >= 0 {
+				live = append(live, k)
+			}
+		}
+		sort.SliceStable(live, func(i, j int) bool {
+			if live[i].at != live[j].at {
+				return live[i].at < live[j].at
+			}
+			return live[i].prio < live[j].prio
+		})
+		e.Run()
+		if len(got) != len(live) {
+			return false
+		}
+		for i := range live {
+			if got[i] != live[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The heap packs the priority into one byte of its key, so ScheduleAt
+// accepts exactly [0, MaxPriority] and orders the extremes correctly.
+func TestScheduleAtPriorityRange(t *testing.T) {
+	e := NewEngine(1)
+	for _, p := range []Priority{-1, MaxPriority + 1, 1 << 20} {
+		if _, err := e.ScheduleAt(Epoch, p, func() {}); !errors.Is(err, ErrPriorityRange) {
+			t.Errorf("priority %d: err = %v, want ErrPriorityRange", p, err)
+		}
+	}
+	var order []Priority
+	for _, p := range []Priority{MaxPriority, 0} {
+		p := p
+		if _, err := e.ScheduleAt(Epoch, p, func() { order = append(order, p) }); err != nil {
+			t.Fatalf("priority %d rejected: %v", p, err)
+		}
+	}
+	e.Run()
+	if len(order) != 2 || order[0] != 0 || order[1] != MaxPriority {
+		t.Errorf("order = %v, want [0 %d]", order, MaxPriority)
 	}
 }
 
