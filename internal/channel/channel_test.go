@@ -7,6 +7,7 @@ import (
 
 	"ewmac/internal/acoustic"
 	"ewmac/internal/energy"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -97,9 +98,11 @@ func TestTraceSeesDeliveries(t *testing.T) {
 		delay    time.Duration
 	}
 	var entries []entry
-	ch.SetTrace(func(src, dst packet.NodeID, _ *packet.Frame, delay time.Duration, _ float64) {
-		entries = append(entries, entry{src, dst, delay})
-	})
+	ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if ev, ok := e.(*obs.FrameEmit); ok {
+			entries = append(entries, entry{ev.Src, ev.Dst, ev.Delay})
+		}
+	}))
 	if err := modems[0].Transmit(&packet.Frame{Kind: packet.KindRTS, Src: 1, Dst: 2}); err != nil {
 		t.Fatal(err)
 	}

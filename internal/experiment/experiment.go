@@ -170,7 +170,7 @@ type Config struct {
 // influencing protocol behaviour.
 type Instrumentation struct {
 	// Trace observes every scheduled frame delivery at emission time.
-	Trace channel.TraceFunc
+	Trace func(src, dst packet.NodeID, f *packet.Frame, delay time.Duration, levelDB float64)
 	// RxTap observes every successful decode.
 	RxTap func(now sim.Time, node packet.NodeID, f *packet.Frame)
 	// LossTap observes every reported loss of a decodable frame.

@@ -4,18 +4,21 @@ import (
 	"time"
 
 	"ewmac/internal/sim"
-	"ewmac/internal/timesync"
 )
 
 // DriftClock is a disciplined imperfect oscillator implementing
-// mac.Clock. The raw hardware behaviour is a timesync.Clock (phase
-// offset plus frequency skew); on top of it the node applies a
-// correction learned at each synchronization epoch. Immediately after
-// a Sync the corrected local reading equals true time; between syncs
-// the residual skew re-accumulates error, and during a sync-loss
-// episode (Desync) the error grows unbounded until discipline returns.
+// mac.Clock. The raw hardware behaviour is a phase offset plus a
+// frequency skew, raw(t) = offset + t·(1 + skew); on top of it the
+// node applies a correction learned at each synchronization epoch.
+// Immediately after a Sync the corrected local reading equals true
+// time; between syncs the residual skew re-accumulates error, and
+// during a sync-loss episode (Desync) the error grows unbounded until
+// discipline returns.
 type DriftClock struct {
-	raw timesync.Clock
+	// offset is the initial phase error; skewPPM the frequency error in
+	// parts per million (a cheap crystal is ±20–100 ppm).
+	offset  time.Duration
+	skewPPM float64
 	// corr is subtracted from the raw reading; Sync sets it so the
 	// corrected reading matches true time at the sync instant.
 	corr time.Duration
@@ -26,19 +29,25 @@ type DriftClock struct {
 // NewDriftClock builds a clock with the given initial phase offset and
 // frequency skew (parts per million), not yet disciplined.
 func NewDriftClock(offset time.Duration, skewPPM float64) *DriftClock {
-	return &DriftClock{raw: timesync.Clock{Offset: offset, SkewPPM: skewPPM}}
+	return &DriftClock{offset: offset, skewPPM: skewPPM}
+}
+
+// raw is the undisciplined hardware reading at true instant t.
+func (c *DriftClock) raw(t sim.Time) time.Duration {
+	g := t.Duration()
+	return c.offset + g + time.Duration(float64(g)*c.skewPPM/1e6)
 }
 
 // Local implements mac.Clock.
 func (c *DriftClock) Local(t sim.Time) time.Duration {
-	return c.raw.Local(t) - c.corr
+	return c.raw(t) - c.corr
 }
 
 // TrueTime implements mac.Clock: it inverts Local, returning the true
 // instant at which the corrected local clock reads local.
 func (c *DriftClock) TrueTime(local time.Duration) sim.Time {
-	// local = Offset + g·(1+s/1e6) - corr  ⇒  g = (local + corr - Offset)/(1+s/1e6).
-	g := float64(local+c.corr-c.raw.Offset) / (1 + c.raw.SkewPPM/1e6)
+	// local = offset + g·(1+s/1e6) - corr  ⇒  g = (local + corr - offset)/(1+s/1e6).
+	g := float64(local+c.corr-c.offset) / (1 + c.skewPPM/1e6)
 	return sim.At(time.Duration(g))
 }
 
@@ -54,7 +63,7 @@ func (c *DriftClock) Sync(now sim.Time) {
 	if c.lost {
 		return
 	}
-	c.corr = c.raw.Local(now) - now.Duration()
+	c.corr = c.raw(now) - now.Duration()
 }
 
 // Desync starts or ends a sync-loss episode.

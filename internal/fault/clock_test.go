@@ -7,6 +7,20 @@ import (
 	"ewmac/internal/sim"
 )
 
+func TestClockDrift(t *testing.T) {
+	c := NewDriftClock(50*time.Millisecond, 20)
+	at := sim.At(1000 * time.Second)
+	got := c.Local(at)
+	// 20 ppm over 1000 s = 20 ms, plus the 50 ms offset.
+	want := 1000*time.Second + 50*time.Millisecond + 20*time.Millisecond
+	if diff := got - want; diff < -time.Microsecond || diff > time.Microsecond {
+		t.Errorf("Local = %v, want %v", got, want)
+	}
+	if perfect := NewDriftClock(0, 0); perfect.Local(at) != 1000*time.Second {
+		t.Error("zero clock is not the identity")
+	}
+}
+
 func TestDriftClockLocalAndTrueTime(t *testing.T) {
 	c := NewDriftClock(10*time.Millisecond, 100) // +10ms, +100 ppm
 	at := sim.At(100 * time.Second)

@@ -117,18 +117,13 @@ type Config struct {
 	// MaxRetries drops a packet after this many failed rounds
 	// (0 = retry forever).
 	MaxRetries int
-	// CWMin / CWMax bound the binary-exponential backoff window, in
-	// slots.
-	CWMin, CWMax int
+	// CWMax caps the binary-exponential backoff window, in slots; the
+	// window starts at 2 (cwMin).
+	CWMax int
 	// EnableHello broadcasts a Hello at a random instant inside
 	// HelloWindow so neighbors learn pairwise delays (paper §4.3).
 	EnableHello bool
 	HelloWindow time.Duration
-	// TableTTL ages out delay estimates (0 = never).
-	TableTTL time.Duration
-	// RPBoostCap is the wait-slots count at which the random priority
-	// boost saturates (paper §3.1: rp reflects contention/wait time).
-	RPBoostCap int64
 	// LenientGrant lets a receiver answer an RTS addressed to it even
 	// when it overheard other (unconfirmed) RTS attempts in the same
 	// contention slot. Slotted-FAMA-derived protocols defer on any
@@ -146,8 +141,6 @@ type Config struct {
 	// individual delay-table entries on demand (stale-table recovery),
 	// and answer probes addressed to it.
 	EnableProbe bool
-	// ProbeMinGap rate-limits probes per peer (default 10 s).
-	ProbeMinGap time.Duration
 	// Recovery arms per-peer liveness tracking and the stuck-state
 	// watchdog; disabled by default (see RecoveryConfig).
 	Recovery RecoveryConfig
@@ -158,26 +151,14 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.CWMin <= 0 {
-		c.CWMin = 2
-	}
-	if c.CWMax < c.CWMin {
+	if c.CWMax < cwMin {
 		// In a saturated single broadcast domain a successful handshake
 		// needs a slot with exactly one RTS; the window must be able to
 		// grow to the same order as the contender population.
 		c.CWMax = 128
 	}
-	if c.RPBoostCap <= 0 {
-		c.RPBoostCap = 16
-	}
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
-	}
-	if c.ProbeMinGap <= 0 {
-		c.ProbeMinGap = 10 * time.Second
-	}
-	if c.Recovery.Enabled {
-		c.Recovery.applyDefaults()
 	}
 	c.Overload.applyDefaults()
 }
@@ -252,7 +233,7 @@ func NewBase(cfg Config) (*Base, error) {
 	if err := b.Init(cfg, "mac", "handshake failures"); err != nil {
 		return nil, err
 	}
-	b.table = NewNeighborTable(b.cfg.TableTTL)
+	b.table = NewNeighborTable()
 	b.ledger = NewLedger(b.cfg.Slots)
 	// A suspect or dead peer's stored delay came from the same failing
 	// link: confidence-aware admission rules stop trusting it.
@@ -345,17 +326,20 @@ func (b *Base) sendHello() {
 	}
 }
 
+// probeMinGap rate-limits probes per peer.
+const probeMinGap = 10 * time.Second
+
 // Probe sends a unicast Hello to peer to refresh its delay-table entry
 // (the peer answers with a unicast NbrUpdate, whose timestamp gives
 // this node a fresh measurement). Probes are rate-limited per peer by
-// ProbeMinGap and reported in Counters.Probes. Returns whether a probe
+// probeMinGap and reported in Counters.Probes. Returns whether a probe
 // went on air.
 func (b *Base) Probe(peer packet.NodeID) bool {
 	if !b.cfg.EnableProbe || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
 	now := b.cfg.Engine.Now()
-	if last, ok := b.lastProbe[peer]; ok && now.Sub(last) < b.cfg.ProbeMinGap {
+	if last, ok := b.lastProbe[peer]; ok && now.Sub(last) < probeMinGap {
 		return false
 	}
 	if b.cfg.Modem.Transmitting() {
@@ -508,8 +492,7 @@ func (b *Base) receiverGrant(s int64) {
 	if winner == nil {
 		return
 	}
-	now := b.cfg.Engine.Now()
-	tau, ok := b.table.Delay(winner.Src, now)
+	tau, ok := b.table.Delay(winner.Src)
 	if !ok {
 		tau = b.cfg.Slots.TauMax
 	}
@@ -555,8 +538,7 @@ func (b *Base) maybeContend(s int64) {
 	if !b.ReadyToSend(s) {
 		return
 	}
-	now := b.cfg.Engine.Now()
-	tau, known := b.table.Delay(head.Dst, now)
+	tau, known := b.table.Delay(head.Dst)
 	if !known {
 		tau = b.cfg.Slots.TauMax
 	}
@@ -581,6 +563,10 @@ func (b *Base) maybeContend(s int64) {
 	b.curTau = tau
 }
 
+// rpBoostCap is the wait-slots count at which the random priority
+// boost saturates (paper §3.1: rp reflects contention/wait time).
+const rpBoostCap = 16
+
 // randomPriority implements the paper's rp: a random value boosted by
 // how long the head packet has waited, so starved nodes eventually win
 // receiver arbitration.
@@ -589,10 +575,10 @@ func (b *Base) randomPriority(s int64) float64 {
 	if wait < 0 {
 		wait = 0
 	}
-	if wait > b.cfg.RPBoostCap {
-		wait = b.cfg.RPBoostCap
+	if wait > rpBoostCap {
+		wait = rpBoostCap
 	}
-	return b.rng.Float64() + float64(wait)/float64(b.cfg.RPBoostCap)
+	return b.rng.Float64() + float64(wait)/rpBoostCap
 }
 
 func (b *Base) transmitData(s int64) {
@@ -820,7 +806,7 @@ func (b *Base) onCTS(f *packet.Frame, now sim.Time) {
 	if f.Dst == b.cfg.ID {
 		if b.role == RoleWaitCTS && f.Src == b.cur.Dst {
 			// Negotiated: data goes out at the next slot boundary.
-			if tau, ok := b.table.Delay(f.Src, now); ok {
+			if tau, ok := b.table.Delay(f.Src); ok {
 				b.curTau = tau
 			}
 			if b.Observing() {

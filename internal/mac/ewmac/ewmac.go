@@ -33,9 +33,6 @@ type Options struct {
 	// admission check (ablation: degrades EW-MAC toward CS-MAC's
 	// collision-prone stealing).
 	DisableNeighborGuard bool
-	// Guard is the scheduling safety margin around busy windows.
-	// Defaults to 2 ms.
-	Guard time.Duration
 	// UniformPriority disables the wait-time boost in rp (ablation for
 	// the fairness design choice). The boost itself lives in the base;
 	// this zeroes the candidate ordering advantage instead of the
@@ -45,17 +42,14 @@ type Options struct {
 	// extra-communication admission: attempts and grants against a
 	// stale entry are denied (reason "stale-delay") and a unicast probe
 	// is sent to refresh it, while entries merely aging toward the
-	// limit inflate the scheduling Guard up to 2×. Zero (the default)
+	// limit inflate the scheduling guard up to 2×. Zero (the default)
 	// disables staleness handling entirely — extra scheduling trusts
-	// the table as long as the base TTL does, the paper's behaviour.
+	// every table entry however old, the paper's behaviour.
 	StaleAfter time.Duration
 }
 
-func (o *Options) applyDefaults() {
-	if o.Guard <= 0 {
-		o.Guard = 2 * time.Millisecond
-	}
-}
+// baseGuard is the scheduling safety margin around busy windows.
+const baseGuard = 2 * time.Millisecond
 
 type extraPhase uint8
 
@@ -97,7 +91,6 @@ var _ mac.Protocol = (*MAC)(nil)
 
 // New builds an EW-MAC node.
 func New(cfg mac.Config, opts Options) (*MAC, error) {
-	opts.applyDefaults()
 	// EW-MAC receivers arbitrate concurrent RTS attempts by priority
 	// rather than deferring on every overheard RTS (paper §3.1).
 	cfg.LenientGrant = true
@@ -162,12 +155,12 @@ func (m *MAC) staleEntry(peer packet.NodeID, now sim.Time) bool {
 	return ok && age > m.opts.StaleAfter
 }
 
-// guardFor returns the scheduling margin to use against peer: the base
-// Guard, inflated linearly up to 2× as the peer's delay estimate ages
-// toward StaleAfter. Fresh entries (or StaleAfter zero) keep the exact
-// base margin.
+// guardFor returns the scheduling margin to use against peer:
+// baseGuard, inflated linearly up to 2× as the peer's delay estimate
+// ages toward StaleAfter. Fresh entries (or StaleAfter zero) keep the
+// exact base margin.
 func (m *MAC) guardFor(peer packet.NodeID, now sim.Time) time.Duration {
-	g := m.opts.Guard
+	g := baseGuard
 	if m.opts.StaleAfter <= 0 {
 		return g
 	}
@@ -200,7 +193,7 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 		return
 	}
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(cause.Src, now)
+	tau, known := m.Table().Delay(cause.Src)
 	if !known {
 		m.RecordExtra(cause.Src, obs.ExtraDeny, "unknown-delay", 0, 0)
 		return
@@ -262,10 +255,10 @@ func (m *MAC) OnContentionLost(cause *packet.Frame) {
 	})
 }
 
-// clearAtNeighbors is the §4.2 neighbor admission check at the base
-// Guard; the DisableNeighborGuard ablation admits every transmission.
+// clearAtNeighbors is the §4.2 neighbor admission check at baseGuard;
+// the DisableNeighborGuard ablation admits every transmission.
 func (m *MAC) clearAtNeighbors(sendT sim.Time, dur time.Duration, target packet.NodeID) bool {
-	return m.opts.DisableNeighborGuard || m.ClearAtNeighbors(sendT, dur, target, m.opts.Guard)
+	return m.opts.DisableNeighborGuard || m.ClearAtNeighbors(sendT, dur, target, baseGuard)
 }
 
 func (m *MAC) abortExtra(att *extraAttempt) {
@@ -322,7 +315,7 @@ func (m *MAC) onEXR(f *packet.Frame) {
 	// every other negotiated neighbor must miss their receive windows
 	// (extra control packets are themselves extra communication, §4.2).
 	if busyAt, busy := m.NextBusyAt(); busy {
-		if now.Add(excDur + m.opts.Guard).After(busyAt) {
+		if now.Add(excDur + baseGuard).After(busyAt) {
 			m.RecordExtra(f.Src, obs.ExtraDeny, "gap-too-small", 0, 0)
 			return
 		}
@@ -331,7 +324,7 @@ func (m *MAC) onEXR(f *packet.Frame) {
 		m.RecordExtra(f.Src, obs.ExtraDeny, "neighbor-conflict", 0, 0)
 		return
 	}
-	grantAt := m.PrimaryFreeAt().Add(2 * m.opts.Guard)
+	grantAt := m.PrimaryFreeAt().Add(2 * baseGuard)
 	exc.GrantAt = grantAt.Duration()
 	if err := m.SendNow(exc); err != nil {
 		m.RecordExtra(f.Src, obs.ExtraDeny, "transducer-busy", 0, 0)
@@ -342,7 +335,7 @@ func (m *MAC) onEXR(f *packet.Frame) {
 	m.granted = &grantedExtra{from: f.Src, bits: f.DataBits, at: grantAt}
 	// Suspend contention until the granted exchange (EXData + EXAck)
 	// is over; release early if the data never shows.
-	release := grantAt.Add(dataDur + m.ControlTx() + 8*m.opts.Guard)
+	release := grantAt.Add(dataDur + m.ControlTx() + 8*baseGuard)
 	m.SetHold(release)
 	g := m.granted
 	m.ScheduleClamped(release, sim.PriorityMAC, func() {
@@ -364,7 +357,7 @@ func (m *MAC) onEXC(f *packet.Frame) {
 	m.CountersRef().ExtraGrants++
 	now := m.Engine().Now()
 	guard := m.guardFor(att.target, now)
-	tau, known := m.Table().Delay(att.target, now)
+	tau, known := m.Table().Delay(att.target)
 	grantAt := sim.At(f.GrantAt)
 	sendT := grantAt.Add(-tau)
 	dataDur := m.DataTx(att.pkt.Bits)

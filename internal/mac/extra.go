@@ -27,12 +27,11 @@ func (b *Base) RecordExtra(peer packet.NodeID, action, reason string, xid, paren
 // arrival instant there cannot be predicted, and the paper requires
 // certainty.
 func (b *Base) ClearAtNeighbors(sendT sim.Time, dur time.Duration, target packet.NodeID, guard time.Duration) bool {
-	now := b.cfg.Engine.Now()
 	for _, n := range b.ledger.BusyParties() {
 		if n == target || n == b.cfg.ID {
 			continue
 		}
-		tau, known := b.table.Delay(n, now)
+		tau, known := b.table.Delay(n)
 		if !known {
 			return false
 		}

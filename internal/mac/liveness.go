@@ -17,34 +17,24 @@ type RecoveryConfig struct {
 	// Enabled arms liveness tracking and the watchdog. When false every
 	// recovery path is a no-op.
 	Enabled bool
-	// SuspectAfter is the consecutive-failure count at which a peer is
-	// marked suspect (default 3). A suspect peer's delay-table entry is
-	// flagged so confidence-aware admission (EW-MAC's stale-delay rule)
-	// stops trusting it.
-	SuspectAfter int
-	// DeadAfter is the consecutive-failure count at which a peer is
-	// declared dead (default 2×SuspectAfter). Pending traffic to a dead
-	// peer is purged with a typed drop and new contention toward it is
-	// suppressed until a frame from the peer is overheard.
-	DeadAfter int
-	// WatchdogFactor scales the stuck-state bound: a node staying in
-	// any non-idle handshake role longer than WatchdogFactor worst-case
-	// exchanges is force-reset through the cold-restart path
-	// (default 4).
-	WatchdogFactor int64
 }
 
-func (r *RecoveryConfig) applyDefaults() {
-	if r.SuspectAfter <= 0 {
-		r.SuspectAfter = 3
-	}
-	if r.DeadAfter <= r.SuspectAfter {
-		r.DeadAfter = 2 * r.SuspectAfter
-	}
-	if r.WatchdogFactor <= 0 {
-		r.WatchdogFactor = 4
-	}
-}
+const (
+	// suspectAfter is the consecutive-failure count at which a peer is
+	// marked suspect. A suspect peer's delay-table entry is flagged so
+	// confidence-aware admission (EW-MAC's stale-delay rule) stops
+	// trusting it.
+	suspectAfter = 3
+	// deadAfter is the consecutive-failure count at which a peer is
+	// declared dead. Pending traffic to a dead peer is purged with a
+	// typed drop and new contention toward it is suppressed until a
+	// frame from the peer is overheard.
+	deadAfter = 2 * suspectAfter
+	// watchdogFactor scales the stuck-state bound: a node staying in
+	// any non-idle handshake role longer than watchdogFactor worst-case
+	// exchanges is force-reset through the cold-restart path.
+	watchdogFactor = 4
+)
 
 // PeerState is the liveness verdict for one neighbor.
 type PeerState uint8
@@ -104,20 +94,19 @@ func (st *Station) Stranded() int {
 // killed the peer — the caller's head packet was purged along with
 // everything else queued to it.
 func (st *Station) notePeerFailure(peer packet.NodeID) bool {
-	rc := &st.cfg.Recovery
-	if !rc.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
+	if !st.cfg.Recovery.Enabled || peer == packet.Nobody || peer == packet.Broadcast {
 		return false
 	}
 	n := st.peerFails[peer] + 1
 	st.peerFails[peer] = n
 	v := st.peerState[peer]
-	if v == PeerAlive && n >= rc.SuspectAfter {
+	if v == PeerAlive && n >= suspectAfter {
 		v = PeerSuspect
 		st.peerState[peer] = v
 		st.counters.SuspectMarks++
 		st.emitVerdict(peer, obs.RecoverySuspect, n)
 	}
-	if v != PeerDead && n >= rc.DeadAfter {
+	if v != PeerDead && n >= deadAfter {
 		st.peerState[peer] = PeerDead
 		st.counters.DeadMarks++
 		st.emitVerdict(peer, obs.RecoveryDead, n)
@@ -189,7 +178,7 @@ func (st *Station) HeardFrom(peer packet.NodeID) {
 }
 
 // Watchdog is the stuck-state backstop: a node that has spent stuck
-// slots in state, longer than WatchdogFactor worst-case exchanges of
+// slots in state, longer than watchdogFactor worst-case exchanges of
 // exchange slots each, is counted and reported, and Watchdog returns
 // true so the caller cold-restarts it. Always false unless recovery is
 // enabled.
@@ -197,7 +186,7 @@ func (st *Station) Watchdog(state string, stuck, exchange int64) bool {
 	if !st.cfg.Recovery.Enabled {
 		return false
 	}
-	bound := st.cfg.Recovery.WatchdogFactor * exchange
+	bound := watchdogFactor * exchange
 	if stuck <= bound {
 		return false
 	}

@@ -141,7 +141,7 @@ func (m *MAC) OnOverheard(f *packet.Frame) {
 		return
 	}
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(f.Src, now)
+	tau, known := m.Table().Delay(f.Src)
 	if !known {
 		return
 	}
@@ -230,7 +230,7 @@ func (m *MAC) onGrant(f *packet.Frame) {
 	}
 	m.CountersRef().ExtraGrants++
 	now := m.Engine().Now()
-	tau, known := m.Table().Delay(st.target, now)
+	tau, known := m.Table().Delay(st.target)
 	sendT := sim.At(f.GrantAt).Add(-tau)
 	if !known || sendT.Before(now.Add(m.Guard())) {
 		m.abort(st)

@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -83,6 +84,16 @@ func (r *rig) enqueueAt(at time.Duration, from int, dst packet.NodeID, bits int)
 	})
 }
 
+// onEmit calls fn for every delivery the channel schedules, at emission
+// time. fn must not keep the event: obs records are pooled.
+func (r *rig) onEmit(fn func(src packet.NodeID, f *packet.Frame)) {
+	r.ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		if ev, ok := e.(*obs.FrameEmit); ok {
+			fn(ev.Src, ev.Frame)
+		}
+	}))
+}
+
 func TestBasicHandshakeDelivers(t *testing.T) {
 	r := newRig(t, 1,
 		vec.V3{Z: 100},
@@ -118,7 +129,7 @@ func TestHandshakeSlotAlignment(t *testing.T) {
 	)
 	slots := r.macs[0].Slots()
 	bad := 0
-	r.ch.SetTrace(func(_, _ packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	r.onEmit(func(_ packet.NodeID, f *packet.Frame) {
 		switch f.Kind {
 		case packet.KindRTS, packet.KindCTS, packet.KindData, packet.KindAck:
 			at := sim.At(f.Timestamp)
@@ -145,7 +156,7 @@ func TestEquation5MultiSlotData(t *testing.T) {
 	)
 	slots := r.macs[0].Slots()
 	var dataSlot, ackSlot int64 = -1, -1
-	r.ch.SetTrace(func(_, _ packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	r.onEmit(func(_ packet.NodeID, f *packet.Frame) {
 		switch f.Kind {
 		case packet.KindData:
 			dataSlot = slots.SlotAt(sim.At(f.Timestamp))
@@ -177,7 +188,7 @@ func TestOverhearerDefersDuringExchange(t *testing.T) {
 	slots := r.macs[0].Slots()
 	var ctsSlot, thirdRTSSlot int64 = -1, -1
 	var exchange *mac.Exchange
-	r.ch.SetTrace(func(src, dst packet.NodeID, f *packet.Frame, _ time.Duration, _ float64) {
+	r.onEmit(func(src packet.NodeID, f *packet.Frame) {
 		if f.Kind == packet.KindCTS && src == 1 && f.Dst == 2 && exchange == nil {
 			ctsSlot = slots.SlotAt(sim.At(f.Timestamp))
 			exchange = &mac.Exchange{

@@ -10,6 +10,10 @@ import (
 	"ewmac/internal/sim"
 )
 
+// cwMin is the floor of the binary-exponential backoff window, in
+// slots: the window starts there and shrinks back to it on every Ack.
+const cwMin = 2
+
 // Station is the protocol-independent core of one MAC node: the
 // defaulted config and named random stream, the transmit queue with
 // its admission gate and retry budget, per-peer liveness, failed-
@@ -77,7 +81,7 @@ func (st *Station) Init(cfg Config, stream, failures string) error {
 		rng:       cfg.Engine.RNG(fmt.Sprintf("%s/%d", stream, cfg.ID)),
 		gate:      newAdmissionGate(cfg),
 		bucket:    newRetryBucket(cfg),
-		cw:        cfg.CWMin,
+		cw:        cwMin,
 		seen:      make(map[uint64]struct{}),
 		peerFails: make(map[packet.NodeID]int),
 		peerState: make(map[packet.NodeID]PeerState),
@@ -401,13 +405,13 @@ func (st *Station) FailAttempt(s int64, inFlight bool) {
 }
 
 // HeadAcked completes the acknowledged queue head: it is popped and
-// counted, the contention window shrinks back to CWMin, and the next
+// counted, the contention window shrinks back to cwMin, and the next
 // head starts with a clean slate — no failure history, its wait
 // starting now.
 func (st *Station) HeadAcked() {
 	st.queue.Pop()
 	st.counters.AckedPackets++
-	st.cw = st.cfg.CWMin
+	st.cw = cwMin
 	st.curAttempts = 0
 	st.headSince = st.cfg.Slots.SlotAt(st.cfg.Engine.Now())
 }
@@ -448,7 +452,7 @@ func (st *Station) Restart() {
 	st.queue.UnlockHead()
 	st.curAttempts = 0
 	st.backoffLeft = 0
-	st.cw = st.cfg.CWMin
+	st.cw = cwMin
 	st.peerFails = make(map[packet.NodeID]int)
 	st.peerState = make(map[packet.NodeID]PeerState)
 	st.headSince = st.cfg.Slots.SlotAt(st.cfg.Engine.Now())

@@ -10,16 +10,14 @@ import (
 // NeighborTable maintains measured one-hop propagation delays, per the
 // paper's §4.3: every frame carries its sender's transmission
 // timestamp, and a receiver derives the pairwise delay as
-// (arrival end − timestamp − transmission time). Entries age out so
-// stale estimates for drifted neighbors are not trusted forever.
+// (arrival end − timestamp − transmission time). Entries never age
+// out; callers that distrust old estimates consult Age and Suspect.
 type NeighborTable struct {
 	// entries is indexed by NodeID — IDs are dense small integers — and
 	// grows on demand; a slot is in use only when its known flag is set.
 	entries []tableEntry
 	// used counts the slots in use.
 	used int
-	// TTL is how long an estimate stays trusted; zero disables aging.
-	TTL time.Duration
 }
 
 type tableEntry struct {
@@ -34,10 +32,8 @@ type tableEntry struct {
 	known bool
 }
 
-// NewNeighborTable returns an empty table with the given TTL.
-func NewNeighborTable(ttl time.Duration) *NeighborTable {
-	return &NeighborTable{TTL: ttl}
-}
+// NewNeighborTable returns an empty table.
+func NewNeighborTable() *NeighborTable { return &NeighborTable{} }
 
 // lookup returns id's slot, or nil if id has no entry.
 func (t *NeighborTable) lookup(id packet.NodeID) *tableEntry {
@@ -88,24 +84,19 @@ func (t *NeighborTable) ObservePair(id packet.NodeID, delay time.Duration, now s
 	t.set(id, delay, now)
 }
 
-// Delay returns the current estimate for a neighbor and whether a live
-// estimate exists.
-func (t *NeighborTable) Delay(id packet.NodeID, now sim.Time) (time.Duration, bool) {
+// Delay returns the current estimate for a neighbor and whether one
+// exists.
+func (t *NeighborTable) Delay(id packet.NodeID) (time.Duration, bool) {
 	e := t.lookup(id)
-	if e == nil || !t.live(e, now) {
+	if e == nil {
 		return 0, false
 	}
 	return e.delay, true
 }
 
-// live reports whether an entry is within its TTL.
-func (t *NeighborTable) live(e *tableEntry, now sim.Time) bool {
-	return t.TTL <= 0 || now.Sub(e.heard) <= t.TTL
-}
-
 // Age returns how long ago the estimate for a neighbor was refreshed,
-// and whether any estimate (live or stale) exists. Staleness-aware
-// admission rules use it to distrust old entries before TTL expiry.
+// and whether an estimate exists. Staleness-aware admission rules use
+// it to distrust old entries.
 func (t *NeighborTable) Age(id packet.NodeID, now sim.Time) (time.Duration, bool) {
 	e := t.lookup(id)
 	if e == nil {
@@ -136,32 +127,32 @@ func (t *NeighborTable) Clear() {
 	t.used = 0
 }
 
-// Known returns the IDs with live estimates in ascending order.
-func (t *NeighborTable) Known(now sim.Time) []packet.NodeID {
+// Known returns the IDs with estimates in ascending order.
+func (t *NeighborTable) Known() []packet.NodeID {
 	out := make([]packet.NodeID, 0, t.used)
 	for i := range t.entries {
-		if e := &t.entries[i]; e.known && t.live(e, now) {
+		if t.entries[i].known {
 			out = append(out, packet.NodeID(i))
 		}
 	}
 	return out
 }
 
-// Len reports the number of entries (live or stale).
+// Len reports the number of entries.
 func (t *NeighborTable) Len() int { return t.used }
 
-// Snapshot returns up to max live entries as piggybackable
+// Snapshot returns up to max entries as piggybackable
 // NeighborInfo, sorted by ID. CS-MAC and ROPA use this to distribute
 // two-hop state; EW-MAC only ever piggybacks the single pair under
 // negotiation.
-func (t *NeighborTable) Snapshot(now sim.Time, max int) []packet.NeighborInfo {
-	ids := t.Known(now)
+func (t *NeighborTable) Snapshot(max int) []packet.NeighborInfo {
+	ids := t.Known()
 	if max >= 0 && len(ids) > max {
 		ids = ids[:max]
 	}
 	out := make([]packet.NeighborInfo, 0, len(ids))
 	for _, id := range ids {
-		d, _ := t.Delay(id, now)
+		d, _ := t.Delay(id)
 		out = append(out, packet.NeighborInfo{ID: id, Delay: d})
 	}
 	return out

@@ -77,7 +77,7 @@ func (th *TwoHop) Piggyback(f *packet.Frame) {
 	if f.Kind == packet.KindNbrUpdate {
 		return
 	}
-	snap := th.b.table.Snapshot(th.b.cfg.Engine.Now(), th.opts.PiggybackEntries)
+	snap := th.b.table.Snapshot(th.opts.PiggybackEntries)
 	f.Neighbors = append(f.Neighbors, snap...)
 }
 
@@ -97,7 +97,7 @@ func (th *TwoHop) OnSlotStart(int64) {
 		return
 	}
 	upd := b.NewFrame(packet.KindNbrUpdate, packet.Broadcast)
-	upd.Neighbors = th.rotatingSnapshot(now)
+	upd.Neighbors = th.rotatingSnapshot()
 	if err := b.SendNow(upd); err != nil {
 		return
 	}
@@ -109,9 +109,9 @@ func (th *TwoHop) OnSlotStart(int64) {
 // table, starting at a cursor that advances each broadcast so the whole
 // two-hop state circulates over successive updates without monster
 // frames.
-func (th *TwoHop) rotatingSnapshot(now sim.Time) []packet.NeighborInfo {
+func (th *TwoHop) rotatingSnapshot() []packet.NeighborInfo {
 	max := th.opts.MaintenanceEntries
-	full := th.b.table.Snapshot(now, -1)
+	full := th.b.table.Snapshot(-1)
 	if len(full) == 0 {
 		return nil
 	}

@@ -168,20 +168,12 @@ func Supervise(k Key, run PointFunc, opts Options) (Record, error) {
 		}
 		rec.Error = err.Error()
 
-		var pe *panicError
+		var pe *experiment.PanicError
 		if errors.As(err, &pe) {
 			rec.Status = StatusFailed
 			rec.Panicked = true
-			rec.Stack = pe.stack
-			opts.emit(fmt.Sprintf("%s: QUARANTINED (panic): %v", k, pe.value))
-			break
-		}
-		var xe *experiment.PanicError
-		if errors.As(err, &xe) {
-			rec.Status = StatusFailed
-			rec.Panicked = true
-			rec.Stack = xe.Stack
-			opts.emit(fmt.Sprintf("%s: QUARANTINED (panic in run): %v", k, xe.Value))
+			rec.Stack = pe.Stack
+			opts.emit(fmt.Sprintf("%s: QUARANTINED (panic): %v", k, pe.Value))
 			break
 		}
 		if errors.Is(err, sim.ErrBudgetExceeded) {
@@ -274,20 +266,14 @@ func (o *Options) emit(line string) {
 	o.OnEvent(line)
 }
 
-// panicError marks a panic recovered directly from a PointFunc (as
-// opposed to one already converted by experiment.RunMean).
-type panicError struct {
-	value string
-	stack string
-}
-
-func (e *panicError) Error() string { return "runner: point panicked: " + e.value }
-
-// callPoint runs one attempt behind a recover boundary.
+// callPoint runs one attempt behind a recover boundary. A panic becomes
+// the same *experiment.PanicError that experiment.RunMean returns for a
+// panic inside one of its seed goroutines, so Supervise quarantines
+// both alike.
 func callPoint(run PointFunc, k Key, b sim.Budget) (sum metrics.Summary, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = &panicError{value: fmt.Sprint(p), stack: string(debug.Stack())}
+			err = &experiment.PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
 	return run(k, b)
