@@ -2,11 +2,11 @@
 // writes the results as machine-readable JSON, so hot-path regressions
 // can be tracked across commits.
 //
-//	benchjson                        # writes BENCH_14.json
+//	benchjson                        # writes BENCH_16.json
 //	benchjson -o out.json            # custom path
 //	benchjson -benchtime 3s          # longer sampling
 //	benchjson -quick                 # engine/channel micro-benches only
-//	benchjson -compare BENCH_14.json # print % deltas vs a saved run,
+//	benchjson -compare BENCH_16.json # print % deltas vs a saved run,
 //	                                 # exit nonzero past -threshold
 //	benchjson -alloc-threshold 10    # also gate allocs/op regressions
 //
@@ -59,7 +59,7 @@ func run() int {
 	// Register the testing package's flags (test.benchtime below) so
 	// testing.Benchmark works outside "go test".
 	testing.Init()
-	out := flag.String("o", "BENCH_14.json", "output file")
+	out := flag.String("o", "BENCH_16.json", "output file")
 	benchtime := flag.Duration("benchtime", time.Second, "target sampling time per benchmark")
 	quick := flag.Bool("quick", false, "run only the engine/channel micro-benchmarks")
 	compare := flag.String("compare", "", "baseline JSON to diff against (per-benchmark % deltas)")

@@ -1,7 +1,8 @@
 // Package channel connects modems through the acoustic environment: it
 // is the broadcast medium. For every transmission it computes, per
 // receiver, the propagation delay and received level from the current
-// geometry, then schedules the arrival at that receiver's modem.
+// geometry, then schedules the arrival at that receiver's modem. All of
+// a transmission's arrivals ride one engine wave (see flight.go).
 //
 // Delay and level are sampled at emission time. For moving nodes this
 // means the channel always uses true current geometry while the MAC
@@ -11,10 +12,14 @@
 package channel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
+	"ewmac/internal/acoustic"
 	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
@@ -29,34 +34,44 @@ import (
 // beyond it but large enough to matter within.
 const InterferenceRangeFactor = 2.0
 
-// rxGeom is one precomputed receiver entry of a source's geometry list:
-// everything Broadcast needs per in-interference-range neighbor, so the
-// hot path does zero trigonometry while the topology is static.
-type rxGeom struct {
-	rx        *phy.Modem
-	dst       packet.NodeID
-	delay     time.Duration
-	levelDB   float64
-	surfDelay time.Duration
-	surfLevel float64
-	syncable  bool
-	surf      bool
+// path is one signal path from a source to a receiver: the direct ray,
+// or its surface-bounced echo. It holds everything an arrival needs,
+// so the hot path does zero trigonometry while the topology is static.
+type path struct {
+	rx       *phy.Modem
+	delay    time.Duration
+	levelDB  float64
+	levelLin float64 // acoustic.DBToLin(levelDB), computed once per build
+	syncable bool
+	echo     bool // the surface copy of the direct ray before it
 }
 
-// srcGeoms is the cached receiver list for one source, stamped with the
+// srcGeoms is the cached geometry for one source, stamped with the
 // topology epoch and modem-registration generation it was built under.
+//
+// paths is in scheduling order: receivers in node-ID order, each direct
+// ray just before its echo. A path's index there is its offset in the
+// seq block Broadcast reserves. order lists the paths in the order
+// their arrivals run, (delay, index), each entry packing the delay
+// above the index; index(k) recovers the index.
 type srcGeoms struct {
-	epoch uint64
-	gen   uint64
-	built bool
-	list  []rxGeom
+	epoch     uint64
+	gen       uint64
+	built     bool
+	receivers int
+	paths     []path
+	order     []uint64
+	mask      uint64
 }
+
+// index returns the path index packed into order entry k.
+func (g *srcGeoms) index(k uint64) uint64 { return k & g.mask }
 
 // Channel is the shared acoustic medium.
 type Channel struct {
 	eng    *sim.Engine
 	net    *topology.Network
-	modems map[packet.NodeID]*phy.Modem
+	modems []*phy.Modem // indexed by NodeID-1; nil until registered
 	rec    obs.Recorder
 
 	// geo caches per-source receiver geometry, indexed by NodeID-1. An
@@ -66,7 +81,12 @@ type Channel struct {
 	geo      []srcGeoms
 	regGen   uint64 // bumped by Register; invalidates every cache entry
 	cacheOff bool
-	scratch  []rxGeom // reused build target when the cache is disabled
+	scratch  srcGeoms // reused build target when the cache is disabled
+
+	// flights is the pool of finished transmissions' waves.
+	flights []*flight
+	// onStart, set only by tests, sees every arrival as it starts.
+	onStart func(*hop)
 
 	cacheHits   uint64
 	cacheMisses uint64
@@ -97,7 +117,7 @@ func New(eng *sim.Engine, net *topology.Network) (*Channel, error) {
 	return &Channel{
 		eng:    eng,
 		net:    net,
-		modems: make(map[packet.NodeID]*phy.Modem),
+		modems: make([]*phy.Modem, net.Len()),
 		geo:    make([]srcGeoms, net.Len()),
 	}, nil
 }
@@ -111,10 +131,10 @@ func (c *Channel) Register(m *phy.Modem) error {
 	if c.net.Node(m.ID()) == nil {
 		return fmt.Errorf("channel: modem %v has no node in topology", m.ID())
 	}
-	if _, dup := c.modems[m.ID()]; dup {
+	if c.modems[m.ID()-1] != nil {
 		return fmt.Errorf("channel: duplicate modem for %v", m.ID())
 	}
-	c.modems[m.ID()] = m
+	c.modems[m.ID()-1] = m
 	c.regGen++
 	return nil
 }
@@ -141,72 +161,97 @@ func (c *Channel) Deliveries() uint64 { return c.deliveries }
 // source was not in the topology.
 func (c *Channel) DroppedUnknown() uint64 { return c.droppedUnknown }
 
-// buildGeoms computes the receiver list for srcNode into out (reused
-// between rebuilds), iterating in node-ID order — arrivals scheduled
-// for the same instant execute in scheduling order, so the list order
-// must be deterministic across runs.
-func (c *Channel) buildGeoms(srcNode *topology.Node, out []rxGeom) []rxGeom {
+// buildGeoms recomputes g (reusing its slices) for srcNode. Receivers
+// are taken in node-ID order: arrivals scheduled for the same instant
+// execute in scheduling order, so that order must be deterministic
+// across runs.
+func (c *Channel) buildGeoms(srcNode *topology.Node, g *srcGeoms) {
 	model := c.net.Model
 	maxDist := model.MaxRangeM * InterferenceRangeFactor
-	for _, dstNode := range c.net.Nodes() {
-		id := dstNode.ID
-		if id == srcNode.ID {
-			continue
-		}
-		rx, ok := c.modems[id]
-		if !ok {
+	g.receivers = 0
+	ps := g.paths[:0]
+	for i, dstNode := range c.net.Nodes() {
+		rx := c.modems[i]
+		if dstNode.ID == srcNode.ID || rx == nil {
 			continue
 		}
 		dist := srcNode.Pos.Dist(dstNode.Pos)
 		if dist > maxDist {
 			continue
 		}
-		g := rxGeom{
-			rx:      rx,
-			dst:     id,
-			delay:   model.Delay(srcNode.Pos, dstNode.Pos),
-			levelDB: model.ReceivedLevelDB(srcNode.Pos, dstNode.Pos),
+		delay := model.Delay(srcNode.Pos, dstNode.Pos)
+		level := model.ReceivedLevelDB(srcNode.Pos, dstNode.Pos)
+		g.receivers++
+		ps = append(ps, path{
+			rx: rx, delay: delay, levelDB: level, levelLin: acoustic.DBToLin(level),
 			// Beyond the nominal communication range (Table 2: 1.5 km)
 			// the modem never synchronizes to the signal, but its energy
 			// still interferes at full physical strength.
 			syncable: dist <= model.MaxRangeM,
-		}
+		})
 		if model.SurfaceReflection {
 			// Two-ray extension: the surface-bounced copy arrives later
 			// and weaker, as pure interference (a real modem stays
 			// locked to the direct ray).
 			rDelay, rLevel := model.SurfacePath(srcNode.Pos, dstNode.Pos)
-			if rDelay > g.delay {
-				g.surf = true
-				g.surfDelay = rDelay
-				g.surfLevel = rLevel
+			if rDelay > delay {
+				ps = append(ps, path{
+					rx: rx, delay: rDelay, levelDB: rLevel, levelLin: acoustic.DBToLin(rLevel),
+					echo: true,
+				})
 			}
 		}
-		out = append(out, g)
 	}
-	return out
+	g.paths = ps
+	g.sortOrder()
 }
 
-// geomsFor returns the receiver list for src, from cache when the
-// topology epoch and modem registrations are unchanged since it was
-// built. The returned slice is owned by the channel and only valid
-// until the next Broadcast.
-func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) []rxGeom {
+// sortOrder sorts g.order by (delay, index). Sorting the packed keys is
+// several times faster than sorting the paths through a comparator.
+func (g *srcGeoms) sortOrder() {
+	shift := bits.Len(uint(len(g.paths)))
+	g.mask = 1<<shift - 1
+	g.order = g.order[:0]
+	packed := true
+	for i := range g.paths {
+		d := uint64(g.paths[i].delay)
+		packed = packed && d>>(63-shift) == 0
+		g.order = append(g.order, d<<shift|uint64(i))
+	}
+	if packed {
+		slices.Sort(g.order)
+		return
+	}
+	// A delay of months does not fit above the index: keep bare
+	// indices and compare the paths instead.
+	for i := range g.order {
+		g.order[i] = uint64(i)
+	}
+	slices.SortFunc(g.order, func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(g.paths[a].delay, g.paths[b].delay), cmp.Compare(a, b))
+	})
+}
+
+// geomsFor returns the geometry for src, from cache when the topology
+// epoch and modem registrations are unchanged since it was built. The
+// result is owned by the channel and only valid until the next
+// Broadcast.
+func (c *Channel) geomsFor(src packet.NodeID, srcNode *topology.Node) *srcGeoms {
 	if c.cacheOff {
-		c.scratch = c.buildGeoms(srcNode, c.scratch[:0])
-		return c.scratch
+		c.buildGeoms(srcNode, &c.scratch)
+		return &c.scratch
 	}
 	sg := &c.geo[int(src)-1]
 	if sg.built && sg.epoch == c.net.Epoch() && sg.gen == c.regGen {
 		c.cacheHits++
-		return sg.list
+		return sg
 	}
 	c.cacheMisses++
-	sg.list = c.buildGeoms(srcNode, sg.list[:0])
+	c.buildGeoms(srcNode, sg)
 	sg.epoch = c.net.Epoch()
 	sg.gen = c.regGen
 	sg.built = true
-	return sg.list
+	return sg
 }
 
 // Broadcast implements phy.Medium: it fans f out to every other modem
@@ -225,35 +270,29 @@ func (c *Channel) Broadcast(src packet.NodeID, f *packet.Frame, dur time.Duratio
 		}.Emit(c.rec, c.eng.Now())
 		return fmt.Errorf("%w: %v", ErrUnknownSource, src)
 	}
-	geoms := c.geomsFor(src, srcNode)
-	if len(geoms) == 0 {
+	g := c.geomsFor(src, srcNode)
+	if g.receivers == 0 {
 		return nil
 	}
-	fc := f.Share()
-	now := c.eng.Now()
-	for i := range geoms {
-		g := &geoms[i]
-		if c.rec != nil {
-			obs.FrameEmit{
-				Src: src, Dst: g.dst, Frame: f, Delay: g.delay, LevelDB: g.levelDB,
-			}.Emit(c.rec, now)
-		}
-		c.deliveries++
-		// Copy out of the cache entry before capturing: the cache slice
-		// may be rebuilt in place before the scheduled closures run.
-		rxm, level, syncable := g.rx, g.levelDB, g.syncable
-		c.eng.ScheduleIn(g.delay, sim.PriorityPHY, func() {
-			rxm.BeginArrival(fc, level, dur, syncable)
-		})
-		if g.surf {
-			sLevel := g.surfLevel
-			c.eng.ScheduleIn(g.surfDelay, sim.PriorityPHY, func() {
-				rxm.BeginArrival(fc, sLevel, dur, false)
-			})
+	if c.rec != nil {
+		now := c.eng.Now()
+		for i := range g.paths {
+			if p := &g.paths[i]; !p.echo {
+				obs.FrameEmit{
+					Src: src, Dst: p.rx.ID(), Frame: f, Delay: p.delay, LevelDB: p.levelDB,
+				}.Emit(c.rec, now)
+			}
 		}
 	}
+	c.deliveries += uint64(g.receivers)
+	c.launch(f.Share(), dur, g)
 	return nil
 }
 
 // Modem returns the registered modem for id, or nil.
-func (c *Channel) Modem(id packet.NodeID) *phy.Modem { return c.modems[id] }
+func (c *Channel) Modem(id packet.NodeID) *phy.Modem {
+	if id < 1 || int(id) > len(c.modems) {
+		return nil
+	}
+	return c.modems[id-1]
+}

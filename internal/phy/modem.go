@@ -99,11 +99,12 @@ type Stats struct {
 	ExtraFramesTx uint64
 }
 
-type arrival struct {
+// Arrival is one signal in the air at a modem, from StartArrival to
+// EndArrival. Records are pooled per modem.
+type Arrival struct {
 	frame     *packet.Frame
 	levelDB   float64
 	levelLin  float64
-	end       sim.Time
 	corruptTx bool
 	decodable bool
 	// maxOtherLin is the worst concurrent interference power observed
@@ -129,7 +130,8 @@ type Modem struct {
 
 	transmitting bool
 	txFrame      *packet.Frame
-	arrivals     []*arrival
+	arrivals     []*Arrival
+	freeArr      []*Arrival // ended records, reused by newArrival
 	stats        Stats
 	down         bool
 	// rec is the structured event sink (nil when observability is off).
@@ -314,20 +316,37 @@ func (m *Modem) accountTx(f *packet.Frame) {
 // interference but are never decoded). The modem schedules its own
 // end-of-arrival processing.
 func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration, syncable bool) {
-	now := m.eng.Now()
-	a := &arrival{
-		frame:     f,
-		levelDB:   levelDB,
-		levelLin:  acoustic.DBToLin(levelDB),
-		end:       now.Add(dur),
-		corruptTx: m.transmitting,
-		// levelDB - noiseDB is bit-identical to SINRDBFromLin(levelDB, 0).
-		decodable: syncable && !m.down && m.model.Decodable(levelDB-m.noiseDB),
-	}
+	a := m.StartArrival(f, levelDB, acoustic.DBToLin(levelDB), syncable)
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.EndArrival(a) })
+}
+
+// StartArrival is BeginArrival for a medium that schedules the end
+// itself: levelLin must equal acoustic.DBToLin(levelDB), and the medium
+// must pass the returned record to EndArrival exactly once, one on-air
+// duration later, where BeginArrival's own end event would have run.
+// The record belongs to the modem again after EndArrival.
+func (m *Modem) StartArrival(f *packet.Frame, levelDB, levelLin float64, syncable bool) *Arrival {
+	a := m.newArrival()
+	a.frame = f
+	a.levelDB = levelDB
+	a.levelLin = levelLin
+	a.corruptTx = m.transmitting
+	// levelDB - noiseDB is bit-identical to SINRDBFromLin(levelDB, 0).
+	a.decodable = syncable && !m.down && m.model.Decodable(levelDB-m.noiseDB)
 	m.arrivals = append(m.arrivals, a)
 	m.refreshInterference()
 	m.updateEnergyState()
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.endArrival(a) })
+	return a
+}
+
+// newArrival takes a zeroed record from the free list, or mints one.
+func (m *Modem) newArrival() *Arrival {
+	if n := len(m.freeArr); n > 0 {
+		a := m.freeArr[n-1]
+		m.freeArr = m.freeArr[:n-1]
+		return a
+	}
+	return new(Arrival)
 }
 
 // InjectInterference adds raw noise energy at this modem for dur: an
@@ -337,15 +356,13 @@ func (m *Modem) BeginArrival(f *packet.Frame, levelDB float64, dur time.Duration
 // up on carrier sense, so backoff logic reacts to it like any other
 // busy-channel episode.
 func (m *Modem) InjectInterference(levelDB float64, dur time.Duration) {
-	a := &arrival{
-		levelDB:  levelDB,
-		levelLin: acoustic.DBToLin(levelDB),
-		end:      m.eng.Now().Add(dur),
-	}
+	a := m.newArrival()
+	a.levelDB = levelDB
+	a.levelLin = acoustic.DBToLin(levelDB)
 	m.arrivals = append(m.arrivals, a)
 	m.refreshInterference()
 	m.updateEnergyState()
-	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.endArrival(a) })
+	m.eng.ScheduleIn(dur, sim.PriorityPHY, func() { m.EndArrival(a) })
 }
 
 // refreshInterference recomputes, for every active arrival, the total
@@ -365,7 +382,10 @@ func (m *Modem) refreshInterference() {
 	}
 }
 
-func (m *Modem) endArrival(a *arrival) {
+// EndArrival finishes a record from StartArrival: the signal leaves
+// the air, and a decodable frame is delivered or reported lost. The
+// record goes back to the modem's free list.
+func (m *Modem) EndArrival(a *Arrival) {
 	for i, b := range m.arrivals {
 		if b == a {
 			m.arrivals = append(m.arrivals[:i], m.arrivals[i+1:]...)
@@ -373,35 +393,40 @@ func (m *Modem) endArrival(a *arrival) {
 		}
 	}
 	m.updateEnergyState()
+	// Everything below reads the copy: the listener may start arrivals
+	// that reuse the record.
+	r := *a
+	*a = Arrival{}
+	m.freeArr = append(m.freeArr, a)
 
-	if !a.decodable {
+	if !r.decodable {
 		// Pure interference energy: a real modem never synchronizes to
 		// it, so nothing is reported.
 		return
 	}
-	if a.corruptTx {
+	if r.corruptTx {
 		m.stats.TxSelfLoss++
-		m.notifyLost(a.frame, LossTxDuringRx)
+		m.notifyLost(r.frame, LossTxDuringRx)
 		return
 	}
 	// The same formula as acoustic.Model.SINRDBFromLin, on the cached floor.
-	sinr := a.levelDB - acoustic.LinToDB(m.noiseLin+a.maxOtherLin)
-	perr := m.per.PER(sinr, a.frame.Bits())
+	sinr := r.levelDB - acoustic.LinToDB(m.noiseLin+r.maxOtherLin)
+	perr := m.per.PER(sinr, r.frame.Bits())
 	if perr > 0 && (perr >= 1 || m.rng.Float64() < perr) {
-		if a.maxOtherLin > 0 {
+		if r.maxOtherLin > 0 {
 			m.stats.Collisions++
-			m.notifyLost(a.frame, LossCollision)
+			m.notifyLost(r.frame, LossCollision)
 		} else {
 			m.stats.PERLosses++
-			m.notifyLost(a.frame, LossChannel)
+			m.notifyLost(r.frame, LossChannel)
 		}
 		return
 	}
 	m.stats.FramesRx++
-	m.stats.BitsRx += uint64(a.frame.Bits())
-	obs.FrameRx{Node: m.id, Frame: a.frame}.Emit(m.rec, m.eng.Now())
+	m.stats.BitsRx += uint64(r.frame.Bits())
+	obs.FrameRx{Node: m.id, Frame: r.frame}.Emit(m.rec, m.eng.Now())
 	if m.listener != nil {
-		m.listener.OnFrameReceived(a.frame)
+		m.listener.OnFrameReceived(r.frame)
 	}
 }
 

@@ -57,6 +57,7 @@ func (h Handle) Cancel() bool {
 	ev.fn = nil
 	e := ev.eng
 	e.live--
+	e.cancelled++
 	e.maybeCompact()
 	return true
 }
@@ -66,13 +67,30 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.cancelled
 }
 
-// event is a pooled scheduled callback. gen is bumped every time the
-// event is recycled, invalidating outstanding Handles.
+// event is a pooled scheduled callback, or the heap slot of a Wave
+// (then fn is nil). gen is bumped every time the event is recycled,
+// invalidating outstanding Handles.
 type event struct {
 	gen       uint64
 	fn        func()
+	wave      Wave
 	eng       *Engine
 	cancelled bool
+}
+
+// Wave is a run of events that shares one heap entry. Its items must
+// come in strictly increasing (at, prio, seq) order, with every seq
+// drawn by Reserve; the engine then pops each item exactly where the
+// same event scheduled on its own would have run. A wave may grow at
+// its tail while queued, as long as its head does not change.
+type Wave interface {
+	// Advance drops the head item, which the next Fire runs, and
+	// reports the new head's key; ok is false when none is left, and
+	// the engine then forgets the wave.
+	Advance() (at Time, prio Priority, seq uint64, ok bool)
+	// Fire runs the item the last Advance dropped. It may schedule
+	// events and waves, this one included once Advance has dropped it.
+	Fire()
 }
 
 // entry is one heap slot. It holds the ordering fields by value, so sift
@@ -108,13 +126,16 @@ type Engine struct {
 	now    Time
 	events []entry  // binary min-heap ordered by entry.less
 	free   []*event // recycled events; schedule pops from here first
-	// live counts queued events that are neither cancelled nor executed.
-	live     int
-	seq      uint64
-	executed uint64
-	stopped  bool
-	seed     int64
-	streams  map[string]*RNG
+	// live counts queued events that are neither cancelled nor executed;
+	// each item of a wave counts as one event.
+	live int
+	// cancelled counts cancelled entries still in the heap.
+	cancelled int
+	seq       uint64
+	executed  uint64
+	stopped   bool
+	seed      int64
+	streams   map[string]*RNG
 	// lastStream memoizes the most recent RNG lookup so hot paths that
 	// re-request the same named stream skip the map.
 	lastStream *RNG
@@ -149,9 +170,9 @@ type LoopStats struct {
 	// Pending is the number of live (not cancelled, not yet executed)
 	// events in the queue.
 	Pending int
-	// PendingRaw is the raw queue depth including cancelled entries not
-	// yet discarded; PendingRaw - Pending is the reclaimable slack the
-	// lazy compactor watches.
+	// PendingRaw is the raw heap length: cancelled entries not yet
+	// discarded count, and a wave counts once however many items it
+	// holds, so it can be far below Pending.
 	PendingRaw int
 	// Wall is cumulative wall-clock time spent inside Run.
 	Wall time.Duration
@@ -195,8 +216,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // reports the raw depth.
 func (e *Engine) Pending() int { return e.live }
 
-// PendingRaw reports the raw queue depth, including cancelled entries
-// that have not yet been discarded or compacted away.
+// PendingRaw reports the raw heap length: cancelled entries that have
+// not yet been discarded or compacted away count, and a wave counts as
+// one entry.
 func (e *Engine) PendingRaw() int { return len(e.events) }
 
 // alloc takes an event from the free list, or mints one.
@@ -215,6 +237,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.wave = nil
 	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
@@ -271,12 +294,12 @@ func (e *Engine) siftDown(i int) {
 }
 
 // maybeCompact rebuilds the heap without its cancelled entries once
-// they outnumber live ones. Compaction is invisible to execution order:
-// events are totally ordered by (at, prio, seq), so the pop sequence
-// after a rebuild is identical to the sequence without one.
+// they are more than half of it. Compaction is invisible to execution
+// order: events are totally ordered by (at, prio, seq), so the pop
+// sequence after a rebuild is identical to the sequence without one.
 func (e *Engine) maybeCompact() {
 	n := len(e.events)
-	if n < compactMin || 2*(n-e.live) <= n {
+	if n < compactMin || 2*e.cancelled <= n {
 		return
 	}
 	h := e.events
@@ -292,6 +315,7 @@ func (e *Engine) maybeCompact() {
 		h[i] = entry{}
 	}
 	e.events = out
+	e.cancelled = 0
 	for i := len(out)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
@@ -315,6 +339,32 @@ func (e *Engine) ScheduleAt(at Time, prio Priority, fn func()) (Handle, error) {
 	e.seq++
 	e.live++
 	return Handle{ev: ev, gen: ev.gen}, nil
+}
+
+// Reserve draws a block of n consecutive scheduling sequences and
+// counts n events as pending, for the items of waves the caller is
+// about to build; it returns the first. Every reserved seq must become
+// the key of exactly one wave item, or Pending overcounts.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq
+	e.seq += uint64(n)
+	e.live += n
+	return first
+}
+
+// ScheduleWave queues w keyed by its head item, whose seq must come
+// from Reserve. It panics if at is before Now or prio is outside
+// [0, MaxPriority].
+func (e *Engine) ScheduleWave(w Wave, at Time, prio Priority, seq uint64) {
+	if at < e.now {
+		panic(fmt.Sprintf("%v: wave at %v, now %v", ErrScheduleInPast, at, e.now))
+	}
+	if prio < 0 || prio > MaxPriority {
+		panic(fmt.Sprintf("%v: %d", ErrPriorityRange, prio))
+	}
+	ev := e.alloc()
+	ev.wave = w
+	e.push(entry{at: at, key: uint64(prio)<<seqBits | seq, ev: ev})
 }
 
 // ScheduleIn queues fn to run d after Now. Negative d is clamped to zero
@@ -372,6 +422,7 @@ func (e *Engine) Run() uint64 {
 		if ev.cancelled {
 			e.pop()
 			e.recycle(ev)
+			e.cancelled--
 			continue
 		}
 		if e.bounded && top.at > e.horizon {
@@ -391,19 +442,43 @@ func (e *Engine) Run() uint64 {
 				break
 			}
 		}
-		e.pop()
 		e.now = top.at
+		e.live--
+		e.executed++
+		n++
+		if w := ev.wave; w != nil {
+			e.advance(top, w)
+			w.Fire()
+			continue
+		}
+		e.pop()
 		fn := ev.fn
 		// Recycle before running: the heap no longer references the
 		// event, outstanding Handles are invalidated by the gen bump,
 		// and fn may immediately reuse the slot for a new event.
 		e.recycle(ev)
-		e.live--
-		e.executed++
-		n++
 		fn()
 	}
 	return n
+}
+
+// advance moves the wave at the heap root on to its next item: the
+// entry is re-keyed in place, or dropped once the wave is exhausted.
+// It runs before the head item fires, so whatever the item schedules
+// is pushed onto a heap that is already consistent.
+func (e *Engine) advance(top entry, w Wave) {
+	at, prio, seq, ok := w.Advance()
+	if !ok {
+		e.pop()
+		e.recycle(top.ev)
+		return
+	}
+	next := entry{at: at, key: uint64(prio)<<seqBits | seq, ev: top.ev}
+	if !top.less(next) {
+		panic(fmt.Sprintf("sim: wave out of order: %v/%#x after %v/%#x", at, next.key, top.at, top.key))
+	}
+	e.events[0] = next
+	e.siftDown(0)
 }
 
 // RunUntil executes events up to and including instant t, then stops with
