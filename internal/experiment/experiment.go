@@ -29,7 +29,6 @@ import (
 	"ewmac/internal/oracle"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
-	"ewmac/internal/resilience"
 	"ewmac/internal/routing"
 	"ewmac/internal/sim"
 	"ewmac/internal/topology"
@@ -259,6 +258,12 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
+// tracksResilience reports whether the run carries a resilience
+// summary: it does under fault injection or overload management.
+func (c Config) tracksResilience() bool {
+	return c.Faults.Active() || c.Overload.Armed()
+}
+
 // Result is one run's outcome.
 type Result struct {
 	Config  Config
@@ -276,7 +281,7 @@ type Result struct {
 	SlotProfile *slotprof.Summary
 	// Resilience is the recovery-metrics summary (fault episodes,
 	// time-to-recover, degraded-window delivery, stranded packets),
-	// set on fault-injected runs.
+	// set on fault-injected and overload-managed runs.
 	Resilience *obs.ResilienceStats
 	// Conformance is the streaming oracle's summary (receptions
 	// checked, violations by reason, index high-water marks), set when
@@ -328,17 +333,7 @@ func Run(cfg Config) (*Result, error) {
 		TauMax: model.MaxDelay(),
 	}
 
-	// The resilience tracker joins the recorder fan-out on fault-
-	// injected and overload-managed runs so it sees the same event
-	// stream as every other consumer (this also means such runs always
-	// carry a recorder).
-	var tracker *resilience.Tracker
-	var trackerRec obs.Recorder
-	if cfg.Faults.Active() || cfg.Overload.Armed() {
-		tracker = resilience.NewTracker()
-		trackerRec = tracker
-	}
-	ro := newRunObs(cfg, slots, model, trackerRec)
+	ro := newRunObs(cfg, slots, model)
 	if ro.rec != nil {
 		ch.SetRecorder(ro.rec)
 	}
@@ -529,14 +524,14 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var resil *obs.ResilienceStats
-	if tracker != nil {
+	if cfg.tracksResilience() {
 		stranded := 0
 		for _, p := range protos {
 			if s, ok := p.(interface{ Stranded() int }); ok {
 				stranded += s.Stranded()
 			}
 		}
-		resil = tracker.Summary(eng.Now(), stranded)
+		resil = ro.collector.Resilience(eng.Now(), stranded)
 		if rep != nil {
 			rep.Resilience = resil
 		}

@@ -57,8 +57,8 @@ func TestChaosRecoveryMetrics(t *testing.T) {
 		r.DegradedS, r.DegradedDeliveryRatio, r.SuspectMarks, r.DeadMarks, r.WatchdogResets)
 }
 
-// TestFaultFreeRunHasNoResilience: the tracker (and the recovery
-// layer) only arm under fault injection.
+// TestFaultFreeRunHasNoResilience: the resilience summary (and the
+// recovery layer) only arm under fault injection.
 func TestFaultFreeRunHasNoResilience(t *testing.T) {
 	cfg := Default(ProtocolEWMAC)
 	cfg.SimTime = 30 * time.Second

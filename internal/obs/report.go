@@ -92,6 +92,12 @@ type Collector struct {
 	deliveredBits  uint64
 	extraDelivered uint64
 	lastAt         sim.Time
+
+	// ep and shed are the resilience fold (see resilience.go): paired-
+	// fault episodes, nil until the first paired fault event, and the
+	// merged admission-shedding windows.
+	ep   *episodes
+	shed shedWindows
 }
 
 // NewCollector returns an empty collector.
@@ -144,6 +150,12 @@ func (c *Collector) Record(at sim.Time, e Event) {
 	case *Contention:
 		c.tags[tagContention]++
 		c.contention[ev.Outcome]++
+		// A won round (sender) or an issued grant (receiver) is the node
+		// demonstrably negotiating again — the recovery signal for nodes
+		// that are relays rather than destinations.
+		if c.ep != nil && (ev.Outcome == ContentionWon || ev.Outcome == ContentionGrant) {
+			c.ep.progress(ev.Node, at)
+		}
 	case *SlotPeriod:
 		c.tags[tagPeriod]++
 	case *Delivery:
@@ -152,6 +164,9 @@ func (c *Collector) Record(at sim.Time, e Event) {
 		c.deliveredBits += uint64(ev.Bits)
 		if ev.Extra {
 			c.extraDelivered++
+		}
+		if c.ep != nil {
+			c.ep.delivery(ev.Node, at)
 		}
 	case *Extra:
 		c.tags[tagExtra]++
@@ -184,12 +199,19 @@ func (c *Collector) Record(at sim.Time, e Event) {
 	case *Overload:
 		c.tags[tagOverload]++
 		c.overload[ev.Action]++
+		c.shed.record(at, ev)
 	case *OracleViolation:
 		c.tags[tagViolation]++
 		c.violations[ev.Reason]++
 	case *Fault:
 		c.tags[tagFault]++
 		c.faults[c.pairKey(ev.Kind, ev.Action)]++
+		if pairedFault(ev.Kind) {
+			if c.ep == nil {
+				c.ep = &episodes{active: make(map[episodeKey]struct{})}
+			}
+			c.ep.fault(at, ev)
+		}
 	case *Invariant:
 		c.tags[tagInvariant]++
 		c.invariants[ev.Check]++
@@ -273,15 +295,13 @@ type RunReport struct {
 	Supervision *SupervisionStats `json:"supervision,omitempty"`
 
 	// Resilience is filled by the experiment layer on fault-injected
-	// runs from the resilience tracker; nil otherwise.
+	// and overload-managed runs from Collector.Resilience; nil otherwise.
 	Resilience *ResilienceStats `json:"resilience,omitempty"`
 }
 
-// ResilienceStats folds the fault timeline and the recovery event
-// stream into per-run recovery metrics. It lives in obs (rather than
-// internal/resilience, which produces it) so RunReport can embed it
-// without an import cycle: resilience consumes obs events, and the
-// experiment layer imports both.
+// ResilienceStats is the per-run recovery summary Collector.Resilience
+// reduces from the fault timeline and the recovery, overload and
+// oracle event streams.
 type ResilienceStats struct {
 	// Episodes counts paired inject→clear fault windows (churn,
 	// outage, sync-loss — the kinds whose injectors emit a clear).
