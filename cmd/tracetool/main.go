@@ -66,9 +66,9 @@ func run(args []string) int {
 	case "events":
 		err = cmdEvents(args[1:])
 	case "drops":
-		err = cmdDrops(args[1:])
+		err = drops.run(args[1:])
 	case "violations":
-		err = cmdViolations(args[1:])
+		err = violations.run(args[1:])
 	case "diff":
 		err = cmdDiff(args[1:])
 	default:
@@ -393,114 +393,35 @@ func cmdEvents(args []string) error {
 	return nil
 }
 
-// cmdDrops reduces the trace-v2 stream's mac.drop events to a
-// per-reason table and the noisiest dropping nodes — the quick answer
-// to "where is an overloaded run losing traffic".
-func cmdDrops(args []string) error {
-	fs := flag.NewFlagSet("drops", flag.ExitOnError)
-	in := fs.String("in", "", "trace-v2 JSONL file (required)")
-	top := fs.Int("top", 10, "show the N nodes with the most drops (0 = all)")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("drops: -in is required")
-	}
-
-	type nodeAgg struct {
-		node     int
-		total    int
-		byReason map[string]int
-	}
-	byReason := map[string]int{}
-	byNode := map[int]*nodeAgg{}
-	total := 0
-	err := scanLines(*in, func(_ int, line []byte) error {
-		var m struct {
-			Event  string `json:"event"`
-			Node   int    `json:"node"`
-			Reason string `json:"reason"`
-		}
-		if err := json.Unmarshal(line, &m); err != nil {
-			return err
-		}
-		if m.Event != "mac.drop" {
-			return nil
-		}
-		total++
-		byReason[m.Reason]++
-		a := byNode[m.Node]
-		if a == nil {
-			a = &nodeAgg{node: m.Node, byReason: map[string]int{}}
-			byNode[m.Node] = a
-		}
-		a.total++
-		a.byReason[m.Reason]++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if total == 0 {
-		fmt.Println("no mac.drop events")
-		return nil
-	}
-
-	reasons := make([]string, 0, len(byReason))
-	for r := range byReason {
-		reasons = append(reasons, r)
-	}
-	sort.Slice(reasons, func(i, j int) bool {
-		if byReason[reasons[i]] != byReason[reasons[j]] {
-			return byReason[reasons[i]] > byReason[reasons[j]]
-		}
-		return reasons[i] < reasons[j]
-	})
-	fmt.Printf("%d drop(s) across %d node(s)\n", total, len(byNode))
-	for _, r := range reasons {
-		fmt.Printf("  %-18s %6d\n", r, byReason[r])
-	}
-
-	nodes := make([]*nodeAgg, 0, len(byNode))
-	for _, a := range byNode {
-		nodes = append(nodes, a)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].total != nodes[j].total {
-			return nodes[i].total > nodes[j].total
-		}
-		return nodes[i].node < nodes[j].node
-	})
-	shown := len(nodes)
-	if *top > 0 && shown > *top {
-		shown = *top
-	}
-	fmt.Printf("%6s %7s  breakdown\n", "node", "drops")
-	for _, a := range nodes[:shown] {
-		parts := make([]string, 0, len(a.byReason))
-		for _, r := range reasons {
-			if n := a.byReason[r]; n > 0 {
-				parts = append(parts, fmt.Sprintf("%s=%d", r, n))
-			}
-		}
-		fmt.Printf("%6d %7d  %s\n", a.node, a.total, strings.Join(parts, " "))
-	}
-	if shown < len(nodes) {
-		fmt.Printf("# (%d more node(s) suppressed by -top)\n", len(nodes)-shown)
-	}
-	return nil
+// reasonTable is a subcommand that reduces one reason-carrying event
+// of the trace-v2 stream to a per-reason table and the noisiest nodes.
+type reasonTable struct {
+	cmd   string // subcommand name
+	event string // event tag tallied
+	noun  string // singular name of one event in the output
+	// details adds -show: print the first N events verbatim.
+	details bool
 }
 
-// cmdViolations reduces the trace-v2 stream's oracle.violation events
-// to per-reason and per-node tables — the triage view over a -verify
-// run that failed conformance — and prints the first few violation
-// details verbatim.
-func cmdViolations(args []string) error {
-	fs := flag.NewFlagSet("violations", flag.ExitOnError)
+// drops answers "where is an overloaded run losing traffic";
+// violations is the triage view over a -verify run that failed
+// conformance.
+var (
+	drops      = reasonTable{cmd: "drops", event: "mac.drop", noun: "drop"}
+	violations = reasonTable{cmd: "violations", event: "oracle.violation", noun: "violation", details: true}
+)
+
+func (t reasonTable) run(args []string) error {
+	fs := flag.NewFlagSet(t.cmd, flag.ExitOnError)
 	in := fs.String("in", "", "trace-v2 JSONL file (required)")
-	top := fs.Int("top", 10, "show the N nodes with the most violations (0 = all)")
-	show := fs.Int("show", 5, "print the first N violation details (0 = none)")
+	top := fs.Int("top", 10, "show the N nodes with the most "+t.noun+"s (0 = all)")
+	show := new(int)
+	if t.details {
+		show = fs.Int("show", 5, "print the first N "+t.noun+" details (0 = none)")
+	}
 	fs.Parse(args)
 	if *in == "" {
-		return fmt.Errorf("violations: -in is required")
+		return fmt.Errorf("%s: -in is required", t.cmd)
 	}
 
 	type nodeAgg struct {
@@ -523,7 +444,7 @@ func cmdViolations(args []string) error {
 		if err := json.Unmarshal(line, &m); err != nil {
 			return err
 		}
-		if m.Event != "oracle.violation" {
+		if m.Event != t.event {
 			return nil
 		}
 		total++
@@ -548,7 +469,7 @@ func cmdViolations(args []string) error {
 		return err
 	}
 	if total == 0 {
-		fmt.Println("no oracle.violation events")
+		fmt.Printf("no %s events\n", t.event)
 		return nil
 	}
 
@@ -562,7 +483,7 @@ func cmdViolations(args []string) error {
 		}
 		return reasons[i] < reasons[j]
 	})
-	fmt.Printf("%d violation(s) across %d node(s)\n", total, len(byNode))
+	fmt.Printf("%d %s(s) across %d node(s)\n", total, t.noun, len(byNode))
 	for _, r := range reasons {
 		fmt.Printf("  %-18s %6d\n", r, byReason[r])
 	}
@@ -581,7 +502,7 @@ func cmdViolations(args []string) error {
 	if *top > 0 && shown > *top {
 		shown = *top
 	}
-	fmt.Printf("%6s %7s  breakdown\n", "node", "violations")
+	fmt.Printf("%6s %7s  breakdown\n", "node", t.noun+"s")
 	for _, a := range nodes[:shown] {
 		parts := make([]string, 0, len(a.byReason))
 		for _, r := range reasons {
@@ -596,7 +517,7 @@ func cmdViolations(args []string) error {
 	}
 	for i, d := range details {
 		if i == 0 {
-			fmt.Println("first violations:")
+			fmt.Printf("first %ss:\n", t.noun)
 		}
 		fmt.Println("  " + d)
 	}
