@@ -160,7 +160,6 @@ func (c *Config) applyDefaults() {
 	if c.HelloWindow <= 0 {
 		c.HelloWindow = 10 * time.Second
 	}
-	c.Overload.applyDefaults()
 }
 
 // Validate reports the first invalid field.

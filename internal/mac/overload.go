@@ -98,11 +98,10 @@ type OverloadConfig struct {
 	// HighWater arms the admission gate: when queue occupancy reaches
 	// HighWater × QueueMax, Enqueue sheds normal-priority packets with
 	// the typed "load-shed" reason until occupancy falls back to
-	// LowWater × QueueMax. Fractions of a bounded queue; zero disables.
+	// HighWater/2 × QueueMax. A fraction of a bounded queue; zero
+	// disables. The hysteresis prevents the gate from flapping at the
+	// boundary.
 	HighWater float64
-	// LowWater is the reopen threshold (default HighWater/2). The
-	// hysteresis prevents the gate from flapping at the boundary.
-	LowWater float64
 	// RetryBudget bounds handshake retries per node.
 	RetryBudget RetryBudgetConfig
 }
@@ -111,15 +110,6 @@ type OverloadConfig struct {
 func (o OverloadConfig) Armed() bool {
 	return o.Policy != DropTail || o.PacketTTL > 0 || o.Priority ||
 		o.HighWater > 0 || o.RetryBudget.Enabled()
-}
-
-func (o *OverloadConfig) applyDefaults() {
-	if o.HighWater > 0 && o.LowWater <= 0 {
-		o.LowWater = o.HighWater / 2
-	}
-	if o.RetryBudget.Burst > 0 && o.RetryBudget.RatePerSec <= 0 {
-		o.RetryBudget.RatePerSec = 0.5
-	}
 }
 
 // Validate reports the first invalid field. queueMax is the queue
@@ -142,12 +132,6 @@ func (o OverloadConfig) Validate(queueMax int) error {
 	if o.HighWater > 0 && queueMax <= 0 {
 		return fmt.Errorf("mac: admission gate needs a bounded queue (QueueMax > 0)")
 	}
-	if o.LowWater < 0 || (o.LowWater > 0 && o.HighWater == 0) {
-		return fmt.Errorf("mac: low water %v without a high water mark", o.LowWater)
-	}
-	if o.LowWater > 0 && o.LowWater >= o.HighWater {
-		return fmt.Errorf("mac: low water %v not below high water %v", o.LowWater, o.HighWater)
-	}
 	if o.RetryBudget.Burst < 0 {
 		return fmt.Errorf("mac: negative retry budget burst %d", o.RetryBudget.Burst)
 	}
@@ -159,7 +143,8 @@ func (o OverloadConfig) Validate(queueMax int) error {
 
 // admissionGate is the hysteresis load-shedding gate: it closes when
 // queue occupancy reaches the high-water mark and reopens only once
-// occupancy drains to the low-water mark. The zero value is disabled.
+// occupancy drains to the low-water mark, half the high-water
+// fraction. The zero value is disabled.
 type admissionGate struct {
 	high, low int
 	closed    bool
@@ -176,7 +161,7 @@ func newAdmissionGate(cfg Config) admissionGate {
 	if high < 1 {
 		high = 1
 	}
-	low := int(o.LowWater * float64(cfg.QueueMax))
+	low := int(o.HighWater / 2 * float64(cfg.QueueMax))
 	if low >= high {
 		low = high - 1
 	}

@@ -42,7 +42,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{Policy: DropOldest},
 		{Policy: DropDeadline, PacketTTL: time.Second},
 		{HighWater: 0.9},
-		{HighWater: 0.9, LowWater: 0.5},
 		{RetryBudget: RetryBudgetConfig{Burst: 4, RatePerSec: 1}},
 	}
 	for i, o := range good {
@@ -56,8 +55,6 @@ func TestOverloadConfigValidate(t *testing.T) {
 		{Policy: DropDeadline}, // deadline policy without TTL
 		{HighWater: 1.5},
 		{HighWater: -0.1},
-		{LowWater: 0.5}, // low water without high water
-		{HighWater: 0.5, LowWater: 0.5},
 		{RetryBudget: RetryBudgetConfig{Burst: -1}},
 		{RetryBudget: RetryBudgetConfig{Burst: 1, RatePerSec: -1}},
 	}
@@ -88,20 +85,23 @@ func TestOverloadConfigArmedAndDefaults(t *testing.T) {
 			t.Errorf("armed[%d] not armed", i)
 		}
 	}
-	d := OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}}
-	d.applyDefaults()
-	if d.LowWater != 0.4 {
-		t.Errorf("default low water = %v", d.LowWater)
+	d := Config{
+		QueueMax: 10,
+		Slots:    SlotConfig{Omega: time.Second},
+		Overload: OverloadConfig{HighWater: 0.8, RetryBudget: RetryBudgetConfig{Burst: 4}},
 	}
-	if d.RetryBudget.RatePerSec != 0.5 {
-		t.Errorf("default retry rate = %v", d.RetryBudget.RatePerSec)
+	if g := newAdmissionGate(d); g.low != 4 {
+		t.Errorf("default low water = %d of 10, want 4", g.low)
+	}
+	if b := newRetryBucket(d); b.perSlot != 0.5*d.Slots.Len().Seconds() {
+		t.Errorf("default retry rate = %v per slot of %v", b.perSlot, d.Slots.Len())
 	}
 }
 
 func TestAdmissionGateHysteresis(t *testing.T) {
 	g := newAdmissionGate(Config{
 		QueueMax: 10,
-		Overload: OverloadConfig{HighWater: 0.8, LowWater: 0.4},
+		Overload: OverloadConfig{HighWater: 0.8},
 	})
 	if !g.Enabled() {
 		t.Fatal("gate not enabled")
