@@ -202,7 +202,7 @@ var goldenOverloadHashes = map[Protocol]uint64{
 	ProtocolSALOHA: 0xd568ba05cea0cf6b,
 	ProtocolSFAMA:  0xe6a2d5c580550e59,
 	ProtocolEWMAC:  0xd423049241ada644,
-	ProtocolROPA:   0x73e3abb9593474fb,
+	ProtocolROPA:   0x50d2cdd00302185f,
 	ProtocolCSMAC:  0x417d6ffa08f53c9e,
 }
 

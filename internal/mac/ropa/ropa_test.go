@@ -8,6 +8,7 @@ import (
 	"ewmac/internal/channel"
 	"ewmac/internal/energy"
 	"ewmac/internal/mac"
+	"ewmac/internal/obs"
 	"ewmac/internal/packet"
 	"ewmac/internal/phy"
 	"ewmac/internal/sim"
@@ -17,6 +18,7 @@ import (
 
 type rig struct {
 	eng  *sim.Engine
+	ch   *channel.Channel
 	macs []*MAC
 }
 
@@ -41,7 +43,7 @@ func newRig(t *testing.T, seed int64, positions ...vec.V3) *rig {
 		Omega:  packet.Duration(packet.ControlBits, model.BitRate()),
 		TauMax: model.MaxDelay(),
 	}
-	r := &rig{eng: eng}
+	r := &rig{eng: eng, ch: ch}
 	for i := range positions {
 		modem, err := phy.NewModem(phy.Config{
 			ID:     packet.NodeID(i + 1),
@@ -113,5 +115,34 @@ func TestAppendedTransmission(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("appending attempted but never completed")
+	}
+}
+
+// TestControlFramesCarryOnePiggybackEntry: the RTA and EXC are sized
+// with their piggybacked neighbor entry before they are scheduled, and
+// sending them must not append a second one, or the frame overruns the
+// control duration its window check budgeted.
+func TestControlFramesCarryOnePiggybackEntry(t *testing.T) {
+	r := newRig(t, 2,
+		vec.V3{X: 0, Y: 0, Z: 100},
+		vec.V3{X: 600, Y: 0, Z: 300},
+		vec.V3{X: 900, Y: 200, Z: 500},
+	)
+	seen := map[packet.Kind]int{}
+	r.ch.SetRecorder(obs.RecorderFunc(func(_ sim.Time, e obs.Event) {
+		ev, ok := e.(*obs.FrameEmit)
+		if !ok || !ev.Frame.Kind.IsControl() || ev.Frame.Kind == packet.KindNbrUpdate {
+			return
+		}
+		seen[ev.Frame.Kind]++
+		if n := len(ev.Frame.Neighbors); n > 1 {
+			t.Errorf("%v from %d carries %d neighbor entries, want at most 1", ev.Frame.Kind, ev.Src, n)
+		}
+	}))
+	r.enqueueAt(9*time.Second, 2, 1, 2048)
+	r.enqueueAt(9100*time.Millisecond, 3, 2, 2048)
+	r.eng.RunUntil(sim.At(90 * time.Second))
+	if seen[packet.KindRTA] == 0 || seen[packet.KindEXC] == 0 {
+		t.Fatalf("scenario sent no RTA or EXC: %v", seen)
 	}
 }

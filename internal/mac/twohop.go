@@ -72,9 +72,11 @@ func (th *TwoHop) Guard() time.Duration { return th.opts.Guard }
 
 // Piggyback implements Hooks: a control frame carries the first
 // PiggybackEntries entries of the delay table, so two-hop state
-// propagates. An NbrUpdate already carries its own excerpt.
+// propagates. An NbrUpdate already carries its own excerpt, and a
+// frame the protocol sized before sending (ROPA's RTA and EXC) already
+// carries its entries, so SendNow's call leaves both as they are.
 func (th *TwoHop) Piggyback(f *packet.Frame) {
-	if f.Kind == packet.KindNbrUpdate {
+	if f.Kind == packet.KindNbrUpdate || len(f.Neighbors) > 0 {
 		return
 	}
 	snap := th.b.table.Snapshot(th.opts.PiggybackEntries)
